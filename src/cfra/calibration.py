@@ -74,7 +74,7 @@ def train_lmax(training: TrainingConfig, rng: np.random.Generator,
         if active.size == 0:
             continue
         pilots = select_pilots(active.size, config.num_pilots, rng)
-        avg = _averaged_activity(topology.beta[active], pilots, config,
+        avg = _averaged_activity(topology.gains(active), pilots, config,
                                  training.repetitions, rng)
         counts = []
         for t in np.unique(pilots):

@@ -13,7 +13,7 @@ import numpy as np
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
 from .channel import (colliding_sets, correlate_uplink, draw_channels,
                       pilot_activity, select_pilots)
-from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate,
+from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, estimate_cellular,
                          greedy_flexible_decide, knowledge_for)
 from .scenario import ScenarioConfig, Topology, bs_topology, build_topology, natural_sets
 
@@ -86,7 +86,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     if active.size == 0:
         return _empty_outcome()
 
-    beta_act = topology.beta[active]                    # (K, L)
+    beta_act = topology.gains(active)                   # (K, L)
     pilots = select_pilots(active.size, config.num_pilots, rng)
     h = draw_channels(beta_act, config.antennas_per_ap, rng)
     y = correlate_uplink(h, pilots, config, rng)
@@ -169,20 +169,14 @@ def _run_attempt_cellular(topology: Topology, active_ues, config: ScenarioConfig
     if active.size == 0:
         return _empty_outcome()
 
-    bs = bs_topology(config, topology.ue_positions)
-    beta_act = bs.beta[active]                          # (K, 1)
+    beta_act = bs_topology(config, topology.ue_positions[active]).beta   # (K, 1)
     pilots = select_pilots(active.size, config.num_pilots, rng)
     h = draw_channels(beta_act, config.bs_antennas, rng)
     y = correlate_uplink(h, pilots, config, rng)
     activity = pilot_activity(y)
     serving = build_serving_sets(activity, 1, config.noise_mw)
 
-    bs_config = ScenarioConfig(
-        **{**_as_dict(config),
-           "antennas_per_ap": config.bs_antennas,
-           "dl_power_per_ap_mw": config.bs_dl_power_mw,
-           "num_aps": 1, "l_max": 1})
-    obs = downlink_observation(y, serving, h, beta_act, pilots, bs_config, rng,
+    obs = downlink_observation(y, serving, h, beta_act, pilots, config.bs_config, rng,
                                dl_power_mw=config.bs_dl_power_mw)
 
     out = AttemptOutcome()
@@ -197,8 +191,6 @@ def _run_attempt_cellular(topology: Topology, active_ues, config: ScenarioConfig
     out.operative_ap_count = 1
     out.served_active_per_ap = float(out.active_pilots)
     out.q_eff_mean = config.bs_dl_power_mw
-
-    from .estimators import estimate_cellular
 
     for i in range(active.size):
         ue = int(active[i])
@@ -217,12 +209,6 @@ def _run_attempt_cellular(topology: Topology, active_ues, config: ScenarioConfig
             if len(winners) == 1:
                 out.admitted.add(winners[0])
     return out
-
-
-def _as_dict(config: ScenarioConfig) -> dict:
-    from dataclasses import asdict
-
-    return asdict(config)
 
 
 @dataclass

@@ -7,7 +7,8 @@ appear at the configuration and reporting boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -57,10 +58,15 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.square_length_m) and self.square_length_m > 0.0):
+            raise ValueError("square_length_m must be finite and positive")
         if self.num_pilots < 1:
             raise ValueError("num_pilots must be >= 1")
         if self.num_aps < 1:
             raise ValueError("num_aps must be >= 1")
+        if math.isqrt(self.num_aps) ** 2 != self.num_aps:
+            raise ValueError(f"num_aps={self.num_aps} is not a perfect square; "
+                             "grid placement undefined")
         if self.antennas_per_ap < 1:
             raise ValueError("antennas_per_ap must be >= 1")
         if not 1 <= self.l_max <= self.num_aps:
@@ -73,16 +79,32 @@ class ScenarioConfig:
             raise ValueError("reattempt_probability must lie in [0, 1]")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
+        if self.num_inactive_ues < 1:
+            raise ValueError("num_inactive_ues must be >= 1")
+        if not self.ul_power_mw >= 0.0:
+            raise ValueError("ul_power_mw must be >= 0")
+        if not self.dl_power_per_ap_mw > 0.0:
+            raise ValueError("dl_power_per_ap_mw must be positive")
+        if not self.compensation_factor >= 1.0:
+            raise ValueError("compensation_factor must be >= 1")
         if self.noise_mw <= 0.0 or self.omega_lin <= 0.0:
             raise ValueError("linear powers derived from dB fields must be positive")
 
-    @property
+    # Derived once per instance; the cached values live outside the fields,
+    # so equality, hashing and asdict() are unaffected.
+    @cached_property
     def noise_mw(self) -> float:
         return db_to_linear(self.noise_power_dbm)
 
-    @property
+    @cached_property
     def omega_lin(self) -> float:
         return db_to_linear(self.power_constant_db)
+
+    @cached_property
+    def bs_config(self) -> ScenarioConfig:
+        """The single-BS view: one M-antenna site with the BS power budget."""
+        return replace(self, antennas_per_ap=self.bs_antennas,
+                       dl_power_per_ap_mw=self.bs_dl_power_mw, num_aps=1, l_max=1)
 
 
 _INT_FIELDS = {
@@ -117,17 +139,69 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
     return ScenarioConfig(**typed)
 
 
-@dataclass
 class Topology:
-    """AP grid, UE drop and the derived distance / channel-gain tables.
+    """AP grid and UE drop, with distance / channel-gain rows on demand.
 
-    ``beta`` and ``distances`` are indexed ``[ue, ap]``.
+    The ``[ue, ap]`` distance and gain rows of a UE are computed the first
+    time :meth:`gains` asks for them and cached for the topology's lifetime,
+    so a campaign pays only for the UEs that transmit. ``beta`` and
+    ``distances`` fill and return the whole table.
     """
 
-    ap_positions: np.ndarray
-    ue_positions: np.ndarray
-    distances: np.ndarray
-    beta: np.ndarray
+    def __init__(self, ap_positions: np.ndarray, ue_positions: np.ndarray,
+                 config: ScenarioConfig):
+        self.ap_positions = ap_positions
+        self.ue_positions = ue_positions
+        self.config = config
+        n_ues, n_aps = ue_positions.shape[0], ap_positions.shape[0]
+        self._slot = np.full(n_ues, -1, dtype=np.intp)  # UE -> cache row, -1 if not computed
+        self._count = 0
+        self._distances = np.empty((0, n_aps))
+        self._beta = np.empty((0, n_aps))
+        self._natural: dict = {}    # natural-set threshold -> {ue: AP indices}
+
+    @property
+    def computed_rows(self) -> int:
+        """Number of UEs whose gain row has been computed so far."""
+        return self._count
+
+    def gains(self, rows) -> np.ndarray:
+        """Gain rows ``beta[rows]`` (a copy), computing the missing ones."""
+        rows = np.asarray(rows, dtype=np.intp)
+        missing = self._slot[rows] < 0
+        if missing.any():
+            self._fill(np.unique(rows[missing] % self._slot.size))
+        return self._beta[self._slot[rows]]
+
+    def _fill(self, new: np.ndarray) -> None:
+        diff = self.ue_positions[new][:, None, :] - self.ap_positions[None, :, :]
+        distances = np.sqrt((diff ** 2).sum(axis=2))
+        start, end = self._count, self._count + new.size
+        if end > self._beta.shape[0]:
+            capacity = min(max(end, 2 * self._beta.shape[0]), self._slot.size)
+            self._distances = _grown(self._distances, capacity, start)
+            self._beta = _grown(self._beta, capacity, start)
+        self._distances[start:end] = distances
+        self._beta[start:end] = pathloss_beta(distances, self.config)
+        self._slot[new] = np.arange(start, end)
+        self._count = end
+
+    @property
+    def beta(self) -> np.ndarray:
+        """The full ``[ue, ap]`` channel-gain table."""
+        return self.gains(np.arange(self._slot.size))
+
+    @property
+    def distances(self) -> np.ndarray:
+        """The full ``[ue, ap]`` distance table in meters."""
+        self.gains(np.arange(self._slot.size))
+        return self._distances[self._slot]
+
+
+def _grown(table: np.ndarray, capacity: int, used: int) -> np.ndarray:
+    out = np.empty((capacity, table.shape[1]))
+    out[:used] = table[:used]
+    return out
 
 
 def ap_grid(num_aps: int, square_length_m: float) -> np.ndarray:
@@ -150,7 +224,12 @@ def pathloss_beta(distances: np.ndarray, config: ScenarioConfig) -> np.ndarray:
 def build_topology(config: ScenarioConfig, rng: np.random.Generator,
                    num_ues: int | None = None,
                    ue_positions: np.ndarray | None = None) -> Topology:
-    """Place the AP grid and drop UEs i.i.d. uniform on the square."""
+    """Place the AP grid and drop UEs i.i.d. uniform on the square.
+
+    Every UE position is drawn here, so the random stream does not depend
+    on which gain rows are used later; the rows themselves are computed
+    lazily by :meth:`Topology.gains`.
+    """
     aps = ap_grid(config.num_aps, config.square_length_m)
     if ue_positions is None:
         if num_ues is None:
@@ -160,27 +239,13 @@ def build_topology(config: ScenarioConfig, rng: np.random.Generator,
         ue_positions = rng.uniform(0.0, config.square_length_m, size=(num_ues, 2))
     else:
         ue_positions = np.asarray(ue_positions, dtype=float)
-    diff = ue_positions[:, None, :] - aps[None, :, :]
-    distances = np.sqrt((diff ** 2).sum(axis=2))
-    return Topology(
-        ap_positions=aps,
-        ue_positions=ue_positions,
-        distances=distances,
-        beta=pathloss_beta(distances, config),
-    )
+    return Topology(aps, ue_positions, config)
 
 
 def bs_topology(config: ScenarioConfig, ue_positions: np.ndarray) -> Topology:
-    """Single-BS view of the same UE drop: one 'AP' at the square center."""
+    """Single-BS view of the given UEs: one 'AP' at the square center."""
     center = np.array([[config.square_length_m / 2.0, config.square_length_m / 2.0]])
-    diff = np.asarray(ue_positions, dtype=float)[:, None, :] - center[None, :, :]
-    distances = np.sqrt((diff ** 2).sum(axis=2))
-    return Topology(
-        ap_positions=center,
-        ue_positions=np.asarray(ue_positions, dtype=float),
-        distances=distances,
-        beta=pathloss_beta(distances, config),
-    )
+    return Topology(center, np.asarray(ue_positions, dtype=float), config)
 
 
 def limit_distance(config: ScenarioConfig, iota: float | None = None) -> float:
@@ -214,7 +279,7 @@ def nearby_set(topology: Topology, ue: int, config: ScenarioConfig,
     """
     if iota is None:
         iota = config.iota
-    beta_row = topology.beta[ue]
+    beta_row = topology.gains(ue)
     order = _order_desc(beta_row)
     above = config.dl_power_per_ap_mw * beta_row[order] > iota * config.noise_mw
     members = order[above]
@@ -225,11 +290,25 @@ def nearby_set(topology: Topology, ue: int, config: ScenarioConfig,
 
 def nearby_set_topn(topology: Topology, ue: int, size: int) -> NearbySet:
     """Fixed-size variant: the ``size`` strongest APs regardless of threshold."""
-    order = _order_desc(topology.beta[ue])
+    order = _order_desc(topology.gains(ue))
     return NearbySet(ue_index=ue, ap_indices=order[:size], is_natural=False)
 
 
 def natural_sets(topology: Topology, config: ScenarioConfig,
                  ue_indices) -> list[np.ndarray]:
-    """Natural nearby sets (iota = 1) for several UEs at once."""
-    return [nearby_set(topology, int(k), config, iota=1.0).ap_indices for k in ue_indices]
+    """Natural nearby sets (iota = 1) for several UEs at once.
+
+    Sets are cached on the topology per UE and per detection threshold
+    (the config's DL power and noise), and returned read-only.
+    """
+    cache = topology._natural.setdefault((config.dl_power_per_ap_mw, config.noise_mw), {})
+    out = []
+    for k in ue_indices:
+        k = int(k)
+        members = cache.get(k)
+        if members is None:
+            members = nearby_set(topology, k, config, iota=1.0).ap_indices
+            members.flags.writeable = False
+            cache[k] = members
+        out.append(members)
+    return out

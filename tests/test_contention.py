@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from cfra import contention
 from cfra.contention import (AttemptOutcome, run_access_campaign, run_attempt,
                              spatial_separability_admit, sucre_decision)
 from cfra.estimators import EstimatorSpec
-from cfra.scenario import ScenarioConfig, build_topology
+from cfra.scenario import ScenarioConfig, Topology, build_topology
 
 
 def test_sucre_decision():
@@ -137,3 +138,64 @@ def test_campaign_empty_cohort_is_nan():
     res = run_access_campaign("bcf", EstimatorSpec(), cfg, np.random.default_rng(8))
     assert res.attempts.size == 0
     assert np.isnan(res.anaa)
+
+
+def test_campaign_computes_gains_only_for_transmitters(monkeypatch):
+    cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
+    rng = np.random.default_rng(9)
+    topo = build_topology(cfg, rng)
+    transmitted: set = set()
+
+    def spy(protocol, spec, topology, active_ues, config, rng):
+        transmitted.update(int(k) for k in active_ues)
+        return run_attempt(protocol, spec, topology, active_ues, config, rng)
+
+    monkeypatch.setattr(contention, "run_attempt", spy)
+    run_access_campaign("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"),
+                        cfg, rng, topology=topo)
+    assert transmitted
+    assert topo.computed_rows == len(transmitted)
+    assert topo.computed_rows < cfg.num_inactive_ues // 10
+
+
+def test_ce_sucre_gains_only_for_active_ues(monkeypatch):
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(10)
+    topo = build_topology(cfg, rng, num_ues=50)
+    computed = []
+    fill = Topology._fill
+
+    def spy(self, new):
+        computed.append(self.ue_positions[new])
+        fill(self, new)
+
+    monkeypatch.setattr(Topology, "_fill", spy)
+    active = [31, 4, 17]
+    run_attempt("ce-sucre", EstimatorSpec(kind="cellular"), topo, active, cfg, rng)
+    assert topo.computed_rows == 0
+    rows = np.concatenate(computed)
+    assert len(rows) == len(active)
+    assert {tuple(r) for r in rows} == {tuple(topo.ue_positions[k]) for k in active}
+
+
+# attempts and ANAA of one small campaign per configuration (seed 7), recorded
+# with the eager gain table; the lazy rows must reproduce them exactly
+PINNED_CAMPAIGNS = [
+    ("bcf", EstimatorSpec(), 1.08,
+     [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1]),
+    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"), 1.56,
+     [1, 1, 4, 1, 1, 3, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2, 3, 1, 2, 2, 1, 1, 1, 3, 1]),
+    ("cf-sucre", EstimatorSpec(kind="est3"), 2.44,
+     [1, 1, 10, 4, 1, 2, 2, 1, 1, 4, 6, 1, 1, 1, 1, 3, 7, 1, 3, 1, 2, 1, 1, 2, 3]),
+    ("ce-sucre", EstimatorSpec(kind="cellular"), 8.36,
+     [3, 1, 10, 10, 1, 10, 10, 1, 10, 10, 10, 10, 3, 10, 10, 10, 10, 10, 10, 10,
+      10, 10, 10, 10, 10]),
+]
+
+
+@pytest.mark.parametrize("protocol, spec, anaa, attempts", PINNED_CAMPAIGNS)
+def test_campaign_pinned_at_fixed_seed(protocol, spec, anaa, attempts):
+    cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
+    res = run_access_campaign(protocol, spec, cfg, np.random.default_rng(7))
+    assert res.attempts.tolist() == attempts
+    assert res.anaa == anaa

@@ -1,6 +1,7 @@
 """Configuration, topology and nearby-set tests."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,6 +32,40 @@ def test_config_validation():
         ScenarioConfig(iota=0.5)
     with pytest.raises(ValueError):
         ScenarioConfig(access_probability=1.5)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("square_length_m", -1.0),
+    ("square_length_m", float("nan")),
+    ("ul_power_mw", -1.0),
+    ("dl_power_per_ap_mw", 0.0),
+    ("compensation_factor", 0.5),
+    ("num_inactive_ues", 0),
+    ("num_aps", 10),
+])
+def test_config_rejects_non_physical(field, value):
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{field: value})
+
+
+def test_derived_constants_cached_outside_fields():
+    cfg = ScenarioConfig()
+    assert cfg.noise_mw == db_to_linear(cfg.noise_power_dbm)
+    assert cfg.omega_lin == db_to_linear(cfg.power_constant_db)
+    fresh = ScenarioConfig()
+    assert cfg == fresh and hash(cfg) == hash(fresh)
+    assert asdict(cfg) == asdict(fresh)
+    assert "noise_mw" not in asdict(cfg)
+
+
+def test_bs_config_is_single_site_view():
+    cfg = ScenarioConfig()
+    bs = cfg.bs_config
+    assert bs is cfg.bs_config
+    assert (bs.num_aps, bs.l_max) == (1, 1)
+    assert bs.antennas_per_ap == cfg.bs_antennas
+    assert bs.dl_power_per_ap_mw == cfg.bs_dl_power_mw
+    assert bs.noise_mw == cfg.noise_mw
 
 
 def test_load_config(tmp_path):
@@ -125,6 +160,48 @@ def test_topology_fixed_positions():
     assert topo.beta[0].argmax() == 0
 
 
+def _eager_tables(topo, cfg):
+    diff = topo.ue_positions[:, None, :] - topo.ap_positions[None, :, :]
+    distances = np.sqrt((diff ** 2).sum(axis=2))
+    return distances, pathloss_beta(distances, cfg)
+
+
+def test_gains_bit_equal_to_eager_table():
+    cfg = ScenarioConfig()
+    topo = build_topology(cfg, np.random.default_rng(11), num_ues=40)
+    d_ref, beta_ref = _eager_tables(topo, cfg)
+    assert topo.computed_rows == 0
+    rows = np.array([17, 3, 3, 39, 0, 17])          # unsorted, duplicated
+    assert np.array_equal(topo.gains(rows), beta_ref[rows])
+    assert topo.computed_rows == 4
+    assert topo.gains(5).shape == (cfg.num_aps,)
+    assert np.array_equal(topo.gains(5), beta_ref[5])
+    assert np.array_equal(topo.gains(-1), beta_ref[39])
+    assert topo.computed_rows == 5
+    # full tables after a partial fill
+    assert np.array_equal(topo.distances, d_ref)
+    assert np.array_equal(topo.beta, beta_ref)
+    assert topo.computed_rows == 40
+
+
+def test_gains_returns_copies():
+    cfg = ScenarioConfig()
+    topo = build_topology(cfg, np.random.default_rng(12), num_ues=5)
+    _, beta_ref = _eager_tables(topo, cfg)
+    topo.gains([1, 2])[:] = 0.0
+    topo.beta[:] = 0.0
+    assert np.array_equal(topo.beta, beta_ref)
+
+
+def test_build_topology_draws_positions_only():
+    cfg = ScenarioConfig()
+    a = build_topology(cfg, np.random.default_rng(13), num_ues=30)
+    rng = np.random.default_rng(13)
+    expected = rng.uniform(0.0, cfg.square_length_m, size=(30, 2))
+    assert np.array_equal(a.ue_positions, expected)
+    assert a.computed_rows == 0
+
+
 def test_bs_topology_center():
     cfg = ScenarioConfig()
     topo = bs_topology(cfg, np.array([[200.0, 200.0], [0.0, 0.0]]))
@@ -175,3 +252,19 @@ def test_natural_sets_match_single_calls():
     for ue in range(6):
         single = nearby_set(topo, ue, cfg, iota=1.0).ap_indices
         assert np.array_equal(sets[ue], single)
+
+
+def test_natural_sets_cache_follows_config():
+    cfg = ScenarioConfig()
+    quiet = ScenarioConfig(dl_power_per_ap_mw=cfg.dl_power_per_ap_mw / 50.0)
+    topo = build_topology(cfg, np.random.default_rng(5), num_ues=8)
+    first = natural_sets(topo, cfg, [4, 1, 4])
+    assert first[0] is first[2]
+    assert not first[0].flags.writeable
+    for other in (quiet, cfg):
+        cached = natural_sets(topo, other, range(8))
+        for ue in range(8):
+            uncached = nearby_set(topo, ue, other, iota=1.0).ap_indices
+            assert np.array_equal(cached[ue], uncached)
+    assert any(len(a) != len(b) for a, b in zip(natural_sets(topo, cfg, range(8)),
+                                                natural_sets(topo, quiet, range(8))))
