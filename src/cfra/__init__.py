@@ -10,7 +10,8 @@ closed-form separability predictions.
 __version__ = "1.0.0"
 
 from .access import (DownlinkObservation, ServingSets, build_serving_sets,
-                     downlink_observation, serving_sets_from_mask, true_alpha_lt)
+                     downlink_observation, large_n_observation,
+                     serving_sets_from_mask, true_alpha_lt)
 from .analysis import (SeparabilityPrediction, distance_cdf, distance_pdf,
                        expected_overlap_area, overlap_area,
                        separability_prediction)
@@ -23,7 +24,7 @@ from .contention import (PROTOCOLS, AttemptOutcome, CampaignResult,
                          spatial_separability_admit, sucre_decision)
 from .estimators import (BEST_PAIRS, CF_ESTIMATORS, ESTIMATOR_KINDS,
                          NEARBY_METHODS, EstimatorSpec, UEKnowledge,
-                         cpu_alpha_hat, estimate, estimate_1, estimate_2,
+                         best_pair, cpu_alpha_hat, estimate, estimate_1, estimate_2,
                          estimate_2_per_ap, estimate_3, estimate_cellular,
                          greedy_flexible_decide, knowledge_for,
                          preprocess_est3)

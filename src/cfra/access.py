@@ -7,7 +7,9 @@ produces each colliding UE's scalar observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 
@@ -66,10 +68,18 @@ class DownlinkObservation:
     """Each colliding UE's scalar observation of the RA response."""
 
     z: np.ndarray              # (K,) complex correlated DL observation
-    z_tilde: np.ndarray        # (K,) deterministic large-N approximation
     served: np.ndarray         # (K,) bool; False when the UE's pilot is inactive
     precoding_kind: str        # "standard" | "normalized"
     effective_dl_power: np.ndarray  # (T, L): q_l (standard) or q~_lt on serving entries
+    large_n: Callable[[], np.ndarray] = field(repr=False)  # evaluates z_tilde
+
+    @cached_property
+    def z_tilde(self) -> np.ndarray:
+        """(K,) deterministic large-N approximation of Re(z)/sqrt(N).
+
+        Evaluated on first access only; the access protocols never read it.
+        """
+        return self.large_n()
 
 
 def true_alpha_lt(beta_active: np.ndarray, pilots: np.ndarray,
@@ -125,27 +135,32 @@ def downlink_observation(y: np.ndarray, serving: ServingSets, h: np.ndarray,
                              (dl_power_mw / denom[:, None]) * y_norm_sq.T, 0.0)
 
     eta = complex_noise((n_ues,), config.noise_mw, rng)
-    z = kernels.observe_downlink(
-        np.ascontiguousarray(h), np.ascontiguousarray(y),
-        np.ascontiguousarray(pilots, dtype=np.int64),
-        np.ascontiguousarray(scale), eta,
-    )
+    z = kernels.observe_downlink(h, y, pilots, scale, eta)
 
-    # large-N deterministic approximation of Re(z)/sqrt(N)
-    alpha_lt = true_alpha_lt(beta_active, pilots, config)
-    cte = np.sqrt(dl_power_mw * config.ul_power_mw) * tau_p * beta_active  # (K, L)
-    z_tilde = np.zeros(n_ues)
-    for k in range(n_ues):
-        t = pilots[k]
-        members = serving.p_t[t]
-        if members.size == 0:
-            continue
-        if precoding_kind == "standard":
-            z_tilde[k] = (cte[k, members] / np.sqrt(alpha_lt[t, members] + config.noise_mw)).sum()
-        elif cpu_alpha_hat[t] > 0:
-            z_tilde[k] = cte[k, members].sum() / np.sqrt(cpu_alpha_hat[t])
+    served = serving.mask.any(axis=1)[pilots]
+    return DownlinkObservation(
+        z=z, served=served, precoding_kind=precoding_kind, effective_dl_power=q_eff,
+        large_n=partial(large_n_observation, beta_active, pilots, serving.mask, config,
+                        dl_power_mw, cpu_alpha_hat))
 
-    served = np.array([serving.p_t[pilots[k]].size > 0 for k in range(n_ues)])
-    return DownlinkObservation(z=z, z_tilde=z_tilde, served=served,
-                               precoding_kind=precoding_kind,
-                               effective_dl_power=q_eff)
+
+def large_n_observation(beta_active: np.ndarray, pilots: np.ndarray,
+                        serving_mask: np.ndarray, config: ScenarioConfig,
+                        dl_power_mw: float,
+                        cpu_alpha_hat: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic large-N value of Re(z_k)/sqrt(N) for every UE, shape (K,).
+
+    Standard precoding (``cpu_alpha_hat`` is None) weighs each serving AP by
+    1/sqrt(alpha_lt + sigma^2); normalized precoding divides the summed
+    gains by sqrt(alpha_hat_t). UEs on an unserved pilot, or on a pilot with
+    alpha_hat_t = 0, get 0.
+    """
+    cte = np.sqrt(dl_power_mw * config.ul_power_mw) * config.num_pilots * beta_active  # (K, L)
+    if cpu_alpha_hat is None:
+        alpha_lt = true_alpha_lt(beta_active, pilots, config)
+        per_ap = cte / np.sqrt(alpha_lt + config.noise_mw)[pilots]
+        return np.where(serving_mask[pilots], per_ap, 0.0).sum(axis=1)
+    summed = np.where(serving_mask[pilots], cte, 0.0).sum(axis=1)
+    alpha_k = cpu_alpha_hat[pilots]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(alpha_k > 0, summed / np.sqrt(alpha_k), 0.0)

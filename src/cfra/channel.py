@@ -54,9 +54,7 @@ def correlate_uplink(h: np.ndarray, pilots: np.ndarray, config: ScenarioConfig,
     n_ant = h.shape[2]
     noise = complex_noise((n_aps, config.num_pilots, n_ant), config.noise_mw, rng)
     amp = np.sqrt(config.ul_power_mw * config.num_pilots)
-    return kernels.accumulate_uplink(
-        np.ascontiguousarray(h), np.ascontiguousarray(pilots, dtype=np.int64), amp, noise
-    )
+    return kernels.accumulate_uplink(h, pilots, amp, noise)
 
 
 def pilot_activity(y: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .analysis import separability_prediction
 from .bench import run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .contention import PROTOCOLS, run_access_campaign
-from .estimators import BEST_PAIRS, ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec
+from .estimators import ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec, best_pair
 from .scenario import ScenarioConfig, load_config
 from .sweeps import FIGURE_CLASSES, SweepDescriptor, run_sweep, write_outputs
 
@@ -189,10 +189,7 @@ def _cmd_estimators_bench(args) -> int:
     rows = []
     for size in args.collision_sizes:
         for kind in args.estimators:
-            if kind == "cellular":
-                nearby, l_max = 1, 1
-            else:
-                nearby, l_max = BEST_PAIRS[kind].get(size, (7, config.l_max))
+            nearby, l_max = best_pair(kind, size)
             result = run_estimator_bench(kind, size, nearby, l_max, config, rng,
                                          num_setups=args.trials)
             rows.append({

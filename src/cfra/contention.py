@@ -21,8 +21,17 @@ PROTOCOLS = ("bcf", "cf-sucre", "ce-sucre")
 
 
 def sucre_decision(gamma: float, alpha_hat: float) -> bool:
-    """True (repeat) iff the UE's own power exceeds half the estimated total."""
+    """True (repeat) iff the UE's own power exceeds half the estimated total;
+    elementwise on arrays."""
     return gamma > alpha_hat / 2.0
+
+
+def _ap_bits(aps) -> int:
+    """AP indices as a Python-int bitmask, so any number of APs fits."""
+    bits = 0
+    for l in np.asarray(aps, dtype=np.int64).ravel().tolist():
+        bits |= 1 << l
+    return bits
 
 
 def spatial_separability_admit(winners, natural_by_ue: dict, serving_aps) -> set:
@@ -30,20 +39,18 @@ def spatial_separability_admit(winners, natural_by_ue: dict, serving_aps) -> set
 
     A winner is admitted when (a) some serving AP lies inside its influence
     region and (b) at least one of those APs is inside no other winner's
-    region.
+    region: ``own & serving & ~others != 0`` on AP bitmasks.
     """
-    serving = set(int(l) for l in serving_aps)
-    admitted = set()
     winners = list(winners)
-    for k in winners:
-        own = set(int(l) for l in natural_by_ue[k]) & serving
-        if not own:
-            continue
-        others: set = set()
-        for i in winners:
+    serving = _ap_bits(serving_aps)
+    regions = [_ap_bits(natural_by_ue[k]) for k in winners]
+    admitted = set()
+    for k, own in zip(winners, regions):
+        others = 0
+        for i, region in zip(winners, regions):
             if i != k:
-                others |= set(int(l) for l in natural_by_ue[i])
-        if own - (others & serving):
+                others |= region
+        if own & serving & ~others:
             admitted.add(k)
     return admitted
 
@@ -95,14 +102,15 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     l_max = config.num_aps if protocol == "bcf" else config.l_max
     serving = build_serving_sets(activity, l_max, config.noise_mw)
     nat = natural_sets(topology, config, active)
-    nat_by_ue = {int(active[i]): nat[i] for i in range(active.size)}
+    ues = active.tolist()
+    nat_by_ue = dict(zip(ues, nat))
 
     out = AttemptOutcome()
     sets = colliding_sets(pilots, config.num_pilots)
     alpha_lt = true_alpha_lt(beta_act, pilots, config)
     for t, members in enumerate(sets):
         if members.size:
-            out.colliders[t] = [int(active[i]) for i in members]
+            out.colliders[t] = active[members].tolist()
             out.alpha_true[t] = float(alpha_lt[t, serving.p_t[t]].sum())
     out.active_pilots = sum(1 for m in sets if m.size)
     out.operative_ap_count = int(serving.operative_aps.size)
@@ -113,13 +121,9 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
 
     if protocol == "bcf":
         # no RA response / decision: every colliding UE is a winner
-        for t, members in enumerate(sets):
-            if not members.size:
-                continue
-            winners = [int(active[i]) for i in members]
-            out.winners[t] = winners
-            out.decisions.update({k: True for k in winners})
-            out.admitted |= spatial_separability_admit(winners, nat_by_ue, serving.p_t[t])
+        out.decisions = dict.fromkeys(ues, True)
+        _admit_winners(out, active, sets, np.ones(active.size, dtype=bool),
+                       nat_by_ue, serving)
         return out
 
     # CF-SUCRe: precoded response, distributed decision, separability check
@@ -135,30 +139,38 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     else:
         out.q_eff_mean = config.dl_power_per_ap_mw
 
-    for i in range(active.size):
-        ue = int(active[i])
-        if not obs.served[i]:
-            out.unserved.add(ue)
-            out.decisions[ue] = False
-            continue
-        beta_nearby = beta_act[i, nat_by_ue[ue]]
-        knowledge = knowledge_for(beta_nearby, obs.z[i].real, config)
+    # one decision batch per natural-set length: the gains of a batch form an
+    # exact (B, n) block, so every sum runs over the same terms as for one UE
+    repeat = np.zeros(active.size, dtype=bool)
+    alpha_hat = np.zeros(active.size)
+    served = np.flatnonzero(obs.served)
+    lengths = np.array([m.size for m in nat])[served]
+    for n in np.unique(lengths):
+        batch = served[lengths == n]
+        nearby = np.stack([nat[i] for i in batch])                    # (B, n)
+        knowledge = knowledge_for(np.take_along_axis(beta_act[batch], nearby, axis=1),
+                                  obs.z[batch].real, config)
+        alpha_hat[batch] = estimate(spec.kind, knowledge, config, spec.delta)
         if spec.nearby_method == "greedy":
-            repeat = greedy_flexible_decide(knowledge, spec, config)
-            out.alpha_hat[ue] = estimate(spec.kind, knowledge, config, spec.delta)
+            repeat[batch] = greedy_flexible_decide(knowledge, spec, config)
         else:
-            out.alpha_hat[ue] = estimate(spec.kind, knowledge, config, spec.delta)
-            repeat = sucre_decision(knowledge.gamma, out.alpha_hat[ue])
-        out.decisions[ue] = repeat
+            repeat[batch] = sucre_decision(knowledge.gamma, alpha_hat[batch])
 
+    out.unserved = set(active[~obs.served].tolist())
+    out.decisions = dict(zip(ues, repeat.tolist()))
+    out.alpha_hat = dict(zip(active[served].tolist(), alpha_hat[served].tolist()))
+    _admit_winners(out, active, sets, repeat, nat_by_ue, serving)
+    return out
+
+
+def _admit_winners(out: AttemptOutcome, active: np.ndarray, sets: list,
+                   repeat: np.ndarray, nat_by_ue: dict, serving) -> None:
+    """Record each pilot's repeating UEs and admit the spatially separable ones."""
     for t, members in enumerate(sets):
-        if not members.size:
-            continue
-        winners = [int(active[i]) for i in members if out.decisions[int(active[i])]]
+        winners = active[members[repeat[members]]].tolist()
         if winners:
             out.winners[t] = winners
             out.admitted |= spatial_separability_admit(winners, nat_by_ue, serving.p_t[t])
-    return out
 
 
 def _run_attempt_cellular(topology: Topology, active_ues, config: ScenarioConfig,
@@ -184,7 +196,7 @@ def _run_attempt_cellular(topology: Topology, active_ues, config: ScenarioConfig
     p_tau = config.ul_power_mw * config.num_pilots
     for t, members in enumerate(sets):
         if members.size:
-            out.colliders[t] = [int(active[i]) for i in members]
+            out.colliders[t] = active[members].tolist()
             out.alpha_true[t] = float(p_tau * beta_act[members, 0].sum()) \
                 if serving.p_t[t].size else 0.0
     out.active_pilots = sum(1 for m in sets if m.size)
@@ -192,18 +204,17 @@ def _run_attempt_cellular(topology: Topology, active_ues, config: ScenarioConfig
     out.served_active_per_ap = float(out.active_pilots)
     out.q_eff_mean = config.bs_dl_power_mw
 
-    for i in range(active.size):
-        ue = int(active[i])
-        if not obs.served[i]:
-            out.unserved.add(ue)
-            out.decisions[ue] = False
-            continue
-        beta_k = float(beta_act[i, 0])
-        out.alpha_hat[ue] = estimate_cellular(beta_k, obs.z[i].real, config)
-        out.decisions[ue] = sucre_decision(p_tau * beta_k, out.alpha_hat[ue])
+    served = np.flatnonzero(obs.served)
+    beta_k = beta_act[served, 0]
+    alpha_hat = estimate_cellular(beta_k, obs.z[served].real, config)
+    repeat = np.zeros(active.size, dtype=bool)
+    repeat[served] = sucre_decision(p_tau * beta_k, alpha_hat)
+    out.unserved = set(active[~obs.served].tolist())
+    out.decisions = dict(zip(active.tolist(), repeat.tolist()))
+    out.alpha_hat = dict(zip(active[served].tolist(), alpha_hat.tolist()))
 
     for t, members in enumerate(sets):
-        winners = [int(active[i]) for i in members if out.decisions[int(active[i])]]
+        winners = active[members[repeat[members]]].tolist()
         if winners:
             out.winners[t] = winners
             if len(winners) == 1:

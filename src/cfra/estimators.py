@@ -45,23 +45,41 @@ class EstimatorSpec:
             raise ValueError("delta must be >= 1")
 
 
+def best_pair(kind: str, size: int) -> tuple[int, int]:
+    """Tuned (nearby-set size, serving cap) for ``kind`` at collision size ``size``.
+
+    The cellular estimator has no nearby set and uses (1, 1) at every size.
+    Raises ValueError outside the tuned table instead of guessing a pair.
+    """
+    if kind == "cellular":
+        return 1, 1
+    try:
+        return BEST_PAIRS[kind][size]
+    except KeyError:
+        raise ValueError(f"no tuned (nearby size, l_max) pair for {kind!r} "
+                         f"at collision size {size}") from None
+
+
 @dataclass
 class UEKnowledge:
-    """What a single UE knows when it runs its estimator.
+    """What one UE, or a batch of UEs with equally long nearby sets, knows
+    when it runs its estimator.
 
-    ``beta_nearby`` holds the gains toward the nearby APs, strongest first;
-    ``re_z`` is the real part of the correlated downlink observation.
+    ``beta_nearby`` holds the gains toward the nearby APs, strongest first,
+    shape (n,) or (B, n); ``re_z`` is the real part of the correlated
+    downlink observation and ``gamma`` the UE's own power, shape () or (B,).
     """
 
-    gamma: float
+    gamma: float | np.ndarray
     beta_nearby: np.ndarray
-    re_z: float
+    re_z: float | np.ndarray
 
 
-def knowledge_for(beta_nearby: np.ndarray, re_z: float, config: ScenarioConfig) -> UEKnowledge:
+def knowledge_for(beta_nearby: np.ndarray, re_z, config: ScenarioConfig) -> UEKnowledge:
     beta_nearby = np.asarray(beta_nearby, dtype=float)
-    gamma = config.ul_power_mw * config.num_pilots * beta_nearby.sum()
-    return UEKnowledge(gamma=gamma, beta_nearby=beta_nearby, re_z=float(re_z))
+    gamma = config.ul_power_mw * config.num_pilots * beta_nearby.sum(axis=-1)
+    return UEKnowledge(gamma=gamma, beta_nearby=beta_nearby,
+                       re_z=np.asarray(re_z, dtype=float)[()])
 
 
 def eps_z(n_antennas: int) -> float:
@@ -74,29 +92,32 @@ def _cte(beta: np.ndarray, config: ScenarioConfig, dl_power_mw: float | None = N
     return np.sqrt(q * config.ul_power_mw) * config.num_pilots * beta
 
 
-def estimate_1(knowledge: UEKnowledge, config: ScenarioConfig) -> float:
+# Every estimator below works on one UE or on a batch: gains reduce over the
+# last axis, and squares use np.square so that scalars and arrays round alike.
+
+def estimate_1(knowledge: UEKnowledge, config: ScenarioConfig):
     """Equal-power-per-AP inversion of the downlink observation."""
     n = config.antennas_per_ap
-    rez = max(knowledge.re_z, eps_z(n))
-    raw = n * (_cte(knowledge.beta_nearby, config).sum() / rez) ** 2 - config.noise_mw
-    return max(raw, knowledge.gamma)
+    rez = np.maximum(knowledge.re_z, eps_z(n))
+    raw = n * np.square(_cte(knowledge.beta_nearby, config).sum(axis=-1) / rez) - config.noise_mw
+    return np.maximum(raw, knowledge.gamma)
 
 
-def estimate_2_per_ap(beta: np.ndarray, re_z: float, config: ScenarioConfig,
+def estimate_2_per_ap(beta: np.ndarray, re_z, config: ScenarioConfig,
                       dl_power_mw: float | None = None,
                       n_antennas: int | None = None) -> np.ndarray:
     """Closed-form per-AP power split minimizing the total under the
-    observation constraint; the sum over APs is the estimate."""
+    observation constraint; the sum over APs (the last axis) is the estimate."""
     n = config.antennas_per_ap if n_antennas is None else n_antennas
-    rez = max(re_z, eps_z(n))
+    rez = np.maximum(re_z, eps_z(n))
     cte23 = _cte(np.asarray(beta, dtype=float), config, dl_power_mw) ** (2.0 / 3.0)
-    factor = n * (cte23.sum() / rez) ** 2
-    return factor * cte23 - config.noise_mw
+    factor = n * np.square(cte23.sum(axis=-1) / rez)
+    return np.expand_dims(factor, -1) * cte23 - config.noise_mw
 
 
-def estimate_2(knowledge: UEKnowledge, config: ScenarioConfig) -> float:
-    raw = estimate_2_per_ap(knowledge.beta_nearby, knowledge.re_z, config).sum()
-    return max(raw, knowledge.gamma)
+def estimate_2(knowledge: UEKnowledge, config: ScenarioConfig):
+    raw = estimate_2_per_ap(knowledge.beta_nearby, knowledge.re_z, config).sum(axis=-1)
+    return np.maximum(raw, knowledge.gamma)
 
 
 def cpu_alpha_hat(activity: np.ndarray, noise_mw: float) -> np.ndarray:
@@ -104,35 +125,36 @@ def cpu_alpha_hat(activity: np.ndarray, noise_mw: float) -> np.ndarray:
     return np.maximum(activity - noise_mw, 0.0).sum(axis=1)
 
 
-def preprocess_est3(re_z: float, delta: float, config: ScenarioConfig) -> float:
+def preprocess_est3(re_z, delta: float, config: ScenarioConfig):
     """Compensated, noise-offset rescaling of the observation."""
     sigma = np.sqrt(config.noise_mw)
     return delta * (re_z - sigma) / np.sqrt(config.antennas_per_ap)
 
 
 def estimate_3(knowledge: UEKnowledge, config: ScenarioConfig,
-               delta: float | None = None) -> float:
+               delta: float | None = None):
     """Inversion tailored to the normalized (power-equalized) precoding."""
     if delta is None:
         delta = config.compensation_factor
-    pre = max(preprocess_est3(knowledge.re_z, delta, config), eps_z(config.antennas_per_ap))
-    raw = (_cte(knowledge.beta_nearby, config).sum() / pre) ** 2
-    return max(raw, knowledge.gamma)
+    pre = np.maximum(preprocess_est3(knowledge.re_z, delta, config),
+                     eps_z(config.antennas_per_ap))
+    raw = np.square(_cte(knowledge.beta_nearby, config).sum(axis=-1) / pre)
+    return np.maximum(raw, knowledge.gamma)
 
 
-def estimate_cellular(beta_k: float, re_z: float, config: ScenarioConfig) -> float:
-    """Single-BS baseline estimate from the scalar gain toward the BS."""
+def estimate_cellular(beta_k, re_z, config: ScenarioConfig):
+    """Single-BS baseline estimate from the gain toward the BS, elementwise."""
     m = config.bs_antennas
     q = config.bs_dl_power_mw
     p = config.ul_power_mw
     tau = config.num_pilots
-    rez = max(re_z, eps_z(m))
-    raw = m * q * p * tau ** 2 * beta_k ** 2 / rez ** 2 - config.noise_mw
-    return max(raw, p * tau * beta_k)
+    rez = np.maximum(re_z, eps_z(m))
+    raw = m * q * p * tau ** 2 * np.square(beta_k) / np.square(rez) - config.noise_mw
+    return np.maximum(raw, p * tau * beta_k)
 
 
 def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig,
-             delta: float | None = None) -> float:
+             delta: float | None = None):
     if kind == "est1":
         return estimate_1(knowledge, config)
     if kind == "est2":
@@ -143,20 +165,23 @@ def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig,
 
 
 def greedy_flexible_decide(knowledge: UEKnowledge, spec: EstimatorSpec,
-                           config: ScenarioConfig) -> bool:
+                           config: ScenarioConfig):
     """Sweep nearby-set sizes from the full natural set down to 1 and
     retransmit if any size wins the contention rule.
 
     Both the estimate and the UE's own-power reference shrink with the set,
-    keeping the two sides of the rule consistent at every size.
+    keeping the two sides of the rule consistent at every size. A batch of
+    B equally long sets gives B decisions.
     """
     beta = knowledge.beta_nearby
     p_tau = config.ul_power_mw * config.num_pilots
-    for size in range(beta.size, 0, -1):
-        sub = beta[:size]
-        gamma_s = p_tau * sub.sum()
+    repeat = np.zeros(beta.shape[:-1], dtype=bool)
+    for size in range(beta.shape[-1], 0, -1):
+        sub = beta[..., :size]
+        gamma_s = p_tau * sub.sum(axis=-1)
         sub_knowledge = UEKnowledge(gamma=gamma_s, beta_nearby=sub, re_z=knowledge.re_z)
         alpha_hat = estimate(spec.kind, sub_knowledge, config, spec.delta)
-        if gamma_s > alpha_hat / 2.0:
-            return True
-    return False
+        repeat |= gamma_s > alpha_hat / 2.0
+        if repeat.all():
+            break
+    return repeat[()]

@@ -1,30 +1,16 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Batched numpy kernels: uplink accumulation and downlink observation.
 
-Set the environment variable ``CFRA_DISABLE_NUMBA=1`` to force the numpy
-implementations (useful for debugging and for the benchmark in
-``benchmarks/bench_kernels.py``). Both implementations are bit-compatible:
-they consume pre-drawn random arrays, so results do not depend on the
-selected backend.
+Both consume pre-drawn random arrays, so their results depend only on the
+inputs. Each sums in the same order as a per-UE loop and is bit-identical
+to one.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-_DISABLED = os.environ.get("CFRA_DISABLE_NUMBA", "").lower() in ("1", "true", "yes")
-USE_NUMBA = HAVE_NUMBA and not _DISABLED
-
-
-def _accumulate_uplink_np(h, pilots, amp, noise):
+def accumulate_uplink(h, pilots, amp, noise):
     """Per-pilot matched-filter output at every AP.
 
     h: (K, L, N) complex channels, pilots: (K,) pilot index per UE,
@@ -32,59 +18,21 @@ def _accumulate_uplink_np(h, pilots, amp, noise):
     Returns y with y[l, t] = amp * sum_{k: pilots[k]=t} h[k, l] + noise[l, t].
     """
     y = noise.copy()
-    for k in range(h.shape[0]):
-        y[:, pilots[k], :] += amp * h[k]
+    for t in np.unique(pilots):
+        members = np.flatnonzero(pilots == t)
+        # a reduction over the leading axis adds the rows one after another,
+        # noise first, exactly like accumulating UE by UE
+        y[:, t] = np.concatenate([noise[None, :, t], amp * h[members]]).sum(axis=0)
     return y
 
 
-def _observe_downlink_np(h, y, pilots, scale, dl_noise):
+def observe_downlink(h, y, pilots, scale, dl_noise):
     """Scalar downlink observation per UE after pilot correlation.
 
     scale: (L, T) real weights folding serving membership and precoder
     normalization; zero entries mean the AP does not serve that pilot.
     dl_noise: (K,) complex receiver noise. Returns z of shape (K,).
     """
-    z = dl_noise.copy()
-    for k in range(h.shape[0]):
-        t = pilots[k]
-        corr = (np.conj(h[k]) * y[:, t, :]).sum(axis=1)
-        z[k] += (scale[:, t] * corr).sum()
-    return z
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _accumulate_uplink_nb(h, pilots, amp, noise):  # pragma: no cover
-        K, L, N = h.shape
-        y = noise.copy()
-        for k in range(K):
-            t = pilots[k]
-            for l in range(L):
-                for n in range(N):
-                    y[l, t, n] += amp * h[k, l, n]
-        return y
-
-    @njit(cache=True)
-    def _observe_downlink_nb(h, y, pilots, scale, dl_noise):  # pragma: no cover
-        K, L, N = h.shape
-        z = dl_noise.copy()
-        for k in range(K):
-            t = pilots[k]
-            acc = 0.0 + 0.0j
-            for l in range(L):
-                if scale[l, t] != 0.0:
-                    corr = 0.0 + 0.0j
-                    for n in range(N):
-                        corr += np.conj(h[k, l, n]) * y[l, t, n]
-                    acc += scale[l, t] * corr
-            z[k] += acc
-        return z
-
-
-if USE_NUMBA:
-    accumulate_uplink = _accumulate_uplink_nb
-    observe_downlink = _observe_downlink_nb
-else:
-    accumulate_uplink = _accumulate_uplink_np
-    observe_downlink = _observe_downlink_np
+    y_k = y[:, pilots].transpose(1, 0, 2)                 # (K, L, N): each UE's pilot
+    corr = (np.conj(h) * y_k).sum(axis=2)                 # (K, L)
+    return dl_noise + (scale[:, pilots].T * corr).sum(axis=1)

@@ -302,13 +302,17 @@ def natural_sets(topology: Topology, config: ScenarioConfig,
     (the config's DL power and noise), and returned read-only.
     """
     cache = topology._natural.setdefault((config.dl_power_per_ap_mw, config.noise_mw), {})
-    out = []
-    for k in ue_indices:
-        k = int(k)
-        members = cache.get(k)
-        if members is None:
-            members = nearby_set(topology, k, config, iota=1.0).ap_indices
+    ues = [int(k) for k in ue_indices]
+    missing = sorted({k for k in ues if k not in cache})
+    if missing:
+        beta = topology.gains(missing)
+        order = np.argsort(-beta, axis=1, kind="stable")     # per row, as _order_desc
+        above = config.dl_power_per_ap_mw * np.take_along_axis(beta, order, axis=1) \
+            > config.noise_mw
+        # rows are sorted, so the APs above the threshold are a prefix; keep >= 1
+        sizes = np.maximum(above.sum(axis=1), 1)
+        for k, row, size in zip(missing, order, sizes.tolist()):
+            members = row[:size].copy()
             members.flags.writeable = False
             cache[k] = members
-        out.append(members)
-    return out
+    return [cache[k] for k in ues]

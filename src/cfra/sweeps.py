@@ -19,7 +19,7 @@ from . import __version__
 from .analysis import separability_prediction
 from .bench import run_estimator_bench
 from .contention import run_access_campaign
-from .estimators import BEST_PAIRS, CF_ESTIMATORS, NEARBY_METHODS, EstimatorSpec
+from .estimators import CF_ESTIMATORS, NEARBY_METHODS, EstimatorSpec, best_pair
 from .metrics import MetricsReport, iqr, tcp, write_reports
 from .scenario import ScenarioConfig
 
@@ -70,10 +70,7 @@ class SweepDescriptor:
 
 def _bench_point(desc: SweepDescriptor, size: int, kind: str,
                  config: ScenarioConfig, rng) -> MetricsReport:
-    if kind == "cellular":
-        nearby_size, l_max = 1, 1
-    else:
-        nearby_size, l_max = BEST_PAIRS[kind][size]
+    nearby_size, l_max = best_pair(kind, size)
     result = run_estimator_bench(
         kind, size, nearby_size, l_max, config, rng,
         num_setups=desc.trials, num_realizations=100)

@@ -168,3 +168,34 @@ def test_hardening_convergence():
                        / obs.z_tilde[ok])
         errors.append(float(np.concatenate(rel).mean()))
     assert errors[0] > errors[1] > errors[2]
+
+
+def _z_tilde_loop(beta, pilots, serving, cfg, kind, alpha_hat):
+    alpha_lt = true_alpha_lt(beta, pilots, cfg)
+    cte = np.sqrt(cfg.dl_power_per_ap_mw * cfg.ul_power_mw) * cfg.num_pilots * beta
+    z_tilde = np.zeros(len(pilots))
+    for k, t in enumerate(pilots):
+        members = serving.p_t[t]
+        if members.size == 0:
+            continue
+        if kind == "standard":
+            z_tilde[k] = (cte[k, members] / np.sqrt(alpha_lt[t, members] + cfg.noise_mw)).sum()
+        elif alpha_hat[t] > 0:
+            z_tilde[k] = cte[k, members].sum() / np.sqrt(alpha_hat[t])
+    return z_tilde
+
+
+@pytest.mark.parametrize("kind", ["standard", "normalized"])
+def test_lazy_z_tilde_matches_per_ue_loop(kind):
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(8)
+    topo, pilots, h, y, activity = _uplink(cfg, rng, num_ues=12)
+    activity[pilots[0]] = 0.0          # one pilot with UEs but no serving AP
+    serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
+    alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
+    obs = downlink_observation(y, serving, h, topo.beta, pilots, cfg, rng,
+                               precoding_kind=kind, cpu_alpha_hat=alpha_hat)
+    assert not obs.served.all() and obs.served.any()
+    expect = _z_tilde_loop(topo.beta, pilots, serving, cfg, kind, alpha_hat)
+    assert np.allclose(obs.z_tilde, expect, rtol=1e-12, atol=0.0)
+    assert np.all(obs.z_tilde[~obs.served] == 0.0) and np.all(obs.z_tilde[obs.served] > 0)

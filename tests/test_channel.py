@@ -1,4 +1,4 @@
-"""Channel statistics, uplink accumulation and kernel-backend parity."""
+"""Channel statistics, uplink accumulation and the batched kernels."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from scipy.stats import kstest
 
 from cfra.channel import (colliding_sets, complex_noise, correlate_uplink,
                           draw_channels, pilot_activity, select_pilots)
-from cfra.kernels import (_accumulate_uplink_np, _observe_downlink_np,
-                          accumulate_uplink, observe_downlink)
+from cfra.kernels import accumulate_uplink, observe_downlink
 from cfra.scenario import ScenarioConfig, build_topology
 
 
@@ -89,21 +88,38 @@ def test_pilot_activity_mean():
     assert acc[3].mean() == pytest.approx(cfg.noise_mw, rel=0.05)
 
 
-def test_kernel_backends_bit_identical():
+def _accumulate_uplink_loop(h, pilots, amp, noise):
+    y = noise.copy()
+    for k in range(h.shape[0]):
+        y[:, pilots[k], :] += amp * h[k]
+    return y
+
+
+def _observe_downlink_loop(h, y, pilots, scale, dl_noise):
+    z = dl_noise.copy()
+    for k in range(h.shape[0]):
+        t = pilots[k]
+        corr = (np.conj(h[k]) * y[:, t, :]).sum(axis=1)
+        z[k] += (scale[:, t] * corr).sum()
+    return z
+
+
+@pytest.mark.parametrize("K, L, N", [(1, 64, 8), (9, 16, 4), (60, 64, 8), (7, 1, 64)])
+def test_kernels_match_per_ue_loop(K, L, N):
+    """The batched kernels add in the per-UE loop's order: equal bit for bit."""
     rng = np.random.default_rng(6)
-    K, L, T, N = 9, 16, 5, 4
-    h = (rng.standard_normal((K, L, N)) + 1j * rng.standard_normal((K, L, N)))
+    T = 5
+    h = (rng.standard_normal((K, L, N)) + 1j * rng.standard_normal((K, L, N))) \
+        * 10.0 ** rng.uniform(-6, 0, (K, L, 1))
     pilots = rng.integers(0, T, size=K)
     noise = 0.1 * (rng.standard_normal((L, T, N)) + 1j * rng.standard_normal((L, T, N)))
-    y_sel = accumulate_uplink(h, pilots, 2.5, noise)
-    y_np = _accumulate_uplink_np(h, pilots, 2.5, noise)
-    assert np.array_equal(y_sel, y_np) or np.allclose(y_sel, y_np, rtol=0, atol=1e-14)
+    y = accumulate_uplink(h, pilots, 2.5, noise)
+    assert np.array_equal(y, _accumulate_uplink_loop(h, pilots, 2.5, noise))
 
-    scale = rng.random((L, T))
+    scale = rng.random((L, T)) * (rng.random((L, T)) < 0.5)
     dl_noise = 0.1 * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
-    z_sel = observe_downlink(h, y_np, pilots, scale, dl_noise)
-    z_np = _observe_downlink_np(h, y_np, pilots, scale, dl_noise)
-    assert np.allclose(z_sel, z_np, rtol=0, atol=1e-12)
+    assert np.array_equal(observe_downlink(h, y, pilots, scale, dl_noise),
+                          _observe_downlink_loop(h, y, pilots, scale, dl_noise))
 
 
 def test_favorable_propagation():

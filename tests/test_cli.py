@@ -78,6 +78,13 @@ def test_estimators_bench(tmp_path, small_cfg):
     assert [r["estimator"] for r in rows] == ["est1", "cellular"]
 
 
+def test_estimators_bench_rejects_untuned_size(tmp_path, capsys):
+    code = main(["estimators-bench", "--out", str(tmp_path), "--trials", "1",
+                 "--collision-sizes", "11", "--estimators", "est2"])
+    assert code == 1
+    assert "collision size 11" in capsys.readouterr().err
+
+
 def test_validation_failure_exit_code(tmp_path, capsys):
     code = main(["sweep", "--out", str(tmp_path), "--figure-class", "anaa-sweep",
                  "--values", "100", "--estimators", "est9"])

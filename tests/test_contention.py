@@ -44,6 +44,37 @@ def test_admit_overlap_outside_serving_is_harmless():
     assert spatial_separability_admit([1, 2], natural, [1]) == {1}
 
 
+def _admit_by_sets(winners, natural_by_ue, serving_aps):
+    serving = set(int(l) for l in serving_aps)
+    admitted = set()
+    for k in winners:
+        own = set(int(l) for l in natural_by_ue[k]) & serving
+        others = set()
+        for i in winners:
+            if i != k:
+                others |= set(int(l) for l in natural_by_ue[i])
+        if own - (others & serving):
+            admitted.add(k)
+    return admitted
+
+
+@pytest.mark.parametrize("num_aps", [4, 64, 100])
+def test_admit_bitmasks_match_set_rule(num_aps):
+    """The bitmask rule equals the set rule, also beyond 64 APs."""
+    rng = np.random.default_rng(num_aps)
+    outcomes = set()
+    for _ in range(400):
+        ues = rng.choice(1000, size=int(rng.integers(1, 7)), replace=False)
+        natural = {int(k): rng.choice(num_aps, size=int(rng.integers(1, min(num_aps, 12) + 1)),
+                                      replace=False) for k in ues}
+        serving = rng.choice(num_aps, size=int(rng.integers(0, num_aps + 1)), replace=False)
+        winners = [int(k) for k in ues]
+        admitted = spatial_separability_admit(winners, natural, serving)
+        assert admitted == _admit_by_sets(winners, natural, serving)
+        outcomes.update(k in admitted for k in winners)
+    assert outcomes == {True, False}
+
+
 def test_run_attempt_validation():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(0)

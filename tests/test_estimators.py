@@ -4,7 +4,7 @@ closed-form optimality residual."""
 import numpy as np
 import pytest
 
-from cfra.estimators import (BEST_PAIRS, EstimatorSpec, UEKnowledge,
+from cfra.estimators import (BEST_PAIRS, EstimatorSpec, UEKnowledge, best_pair,
                              cpu_alpha_hat, eps_z, estimate, estimate_1,
                              estimate_2, estimate_2_per_ap, estimate_3,
                              estimate_cellular, greedy_flexible_decide,
@@ -34,6 +34,14 @@ def test_best_pairs_table_shape():
         for nearby, l_max in table.values():
             assert 1 <= nearby <= 7
             assert 1 <= l_max <= 64
+
+
+def test_best_pair_rejects_sizes_outside_table():
+    assert best_pair("est2", 3) == BEST_PAIRS["est2"][3]
+    assert best_pair("cellular", 12) == (1, 1)
+    for kind, size in (("est1", 0), ("est2", 11), ("est3", 25), ("est9", 3)):
+        with pytest.raises(ValueError):
+            best_pair(kind, size)
 
 
 def test_knowledge_gamma():
@@ -159,3 +167,35 @@ def test_greedy_superset_of_fixed():
             hits += 1
             assert greedy_repeat
     assert hits > 0  # the implication was actually exercised
+
+
+@pytest.mark.parametrize("kind", ["est1", "est2", "est3"])
+@pytest.mark.parametrize("size", [1, 3, 8, 9, 17])
+def test_batched_estimators_equal_one_ue_results(kind, size):
+    """A (B, n) batch gives exactly the B one-UE results, fixed and greedy."""
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(5)
+    beta = np.sort(10.0 ** rng.uniform(-12, -7, (40, size)), axis=1)[:, ::-1].copy()
+    rez = np.sqrt(cfg.antennas_per_ap) * 10.0 ** rng.uniform(-6, -3, 40)
+    rez[:3] = (-1.0, 0.0, 1e30)     # clamped, zero and floored observations
+    spec = EstimatorSpec(kind=kind, nearby_method="greedy")
+    batch = knowledge_for(beta, rez, cfg)
+    alpha = estimate(kind, batch, cfg)
+    greedy = greedy_flexible_decide(batch, spec, cfg)
+    assert alpha.shape == greedy.shape == (40,)
+    for b in range(40):
+        one = knowledge_for(beta[b], rez[b], cfg)
+        assert one.gamma == batch.gamma[b]
+        assert estimate(kind, one, cfg) == alpha[b]
+        assert greedy_flexible_decide(one, spec, cfg) == greedy[b]
+
+
+def test_batched_cellular_equals_one_ue_results():
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(6)
+    beta = 10.0 ** rng.uniform(-12, -7, 200)
+    rez = 10.0 ** rng.uniform(-6, -2, 200) * rng.choice([-1.0, 1.0], 200)
+    batch = estimate_cellular(beta, rez, cfg)
+    assert batch.shape == (200,)
+    assert all(estimate_cellular(float(b), float(r), cfg) == a
+               for b, r, a in zip(beta, rez, batch))

@@ -1,0 +1,53 @@
+"""The benchmark's layer contract: every traced function exists and is reached.
+
+``perfbench/tracing.py`` wraps named ``cfra`` functions from outside the
+package and reports a function it cannot find, or never sees called, as
+missing. This test reads that list as it stands and checks the package
+against it, so a refactor that renames, inlines or bypasses a traced
+function fails here instead of in a traced benchmark run.
+"""
+
+import importlib
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cfra import contention
+from cfra.scenario import ScenarioConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("tracing"), importlib.import_module("workloads")
+
+
+def test_layer_functions_exist(perfbench):
+    tracing, _ = perfbench
+    for module, names in tracing.LAYER_FUNCTIONS.items():
+        mod = importlib.import_module(f"cfra.{module}")
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"cfra.{module}.{name}"
+
+
+def test_campaigns_reach_every_traced_function(perfbench):
+    tracing, workloads = perfbench
+    config = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
+    expected = set(tracing.QUALIFIED) - workloads.build("campaign-sparse").expected_unreached
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for seed, (_, protocol, spec) in enumerate(workloads.CAMPAIGN_SPECS):
+            res = contention.run_access_campaign(protocol, spec, config,
+                                                 np.random.default_rng(seed))
+            assert res.attempts.size
+    finally:
+        tracer.uninstall()
+    calls = Counter(tracer.names[i] for i in tracer.name_ix)
+    assert not tracer.missing
+    assert not tracer.hook_errors
+    assert sorted(name for name in expected if not calls[name]) == []

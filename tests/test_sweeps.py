@@ -84,3 +84,10 @@ def test_bench_sweep_row_shape():
     for r in reports:
         assert np.isfinite(r.nmse_median)
         assert np.isfinite(r.neb_median)
+
+
+def test_bench_sweep_rejects_untuned_size():
+    desc = SweepDescriptor(figure_class="estimator-bench", values=(11,), trials=1,
+                           protocols=("cf-sucre",), estimators=("est2",))
+    with pytest.raises(ValueError, match="collision size 11"):
+        run_sweep(desc, ScenarioConfig())
