@@ -2,8 +2,10 @@
 
 For each setup a fixed number of colliding UEs is dropped on the square and
 many channel realizations of a single contended pilot are simulated at
-once; per-UE normalized bias and squared error of the chosen estimator are
-collected against the true total uplink power.
+once, through the same uplink, serving-set, precoding and estimator
+functions an access attempt runs, stacked on a leading realization axis.
+Per-UE normalized bias and squared error of the chosen estimator are
+collected against the true total uplink power over the serving APs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import complex_noise, draw_channels
-from .scenario import ScenarioConfig, build_topology, pathloss_beta
+from .access import build_serving_sets, downlink_observation, true_alpha_lt
+from .channel import complex_noise, draw_channels, pilot_activity
+from .estimators import cpu_alpha_hat, estimate, estimate_cellular, knowledge_for
+from .kernels import accumulate_uplink
+from .scenario import ScenarioConfig, bs_topology, build_topology
 
 
 @dataclass
@@ -25,33 +30,22 @@ class BenchResult:
     nmd: np.ndarray
 
 
-def _top_serving_mask(activity: np.ndarray, l_max: int, noise_mw: float) -> np.ndarray:
-    """Row-wise serving mask: top-l_max above-noise entries, shape like input."""
-    order = np.argsort(-activity, axis=1, kind="stable")
-    ranks = np.empty_like(order)
-    rows = np.arange(activity.shape[0])[:, None]
-    ranks[rows, order] = np.arange(activity.shape[1])[None, :]
-    return (activity > noise_mw) & (ranks < l_max)
-
-
 def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
                         l_max: int, config: ScenarioConfig,
                         rng: np.random.Generator,
                         num_setups: int = 100, num_realizations: int = 100,
                         delta: float | None = None) -> BenchResult:
-    """Median-ready NMSE/NEB samples for one estimator at one collision size."""
-    if kind == "cellular":
-        return _run_cellular_bench(collision_size, config, rng,
-                                   num_setups, num_realizations)
+    """Median-ready NMSE/NEB samples for one estimator at one collision size.
 
-    n_ant = config.antennas_per_ap
-    tau = config.num_pilots
-    p = config.ul_power_mw
-    q = config.dl_power_per_ap_mw
-    sigma2 = config.noise_mw
-    amp = np.sqrt(p * tau)
-    if delta is None:
-        delta = config.compensation_factor
+    The cellular estimator runs the same loop on the single-BS view, where
+    the one serving "AP" is the BS and ``l_max`` must be 1.
+    """
+    cellular = kind == "cellular"
+    phy = config.bs_config if cellular else config
+    n_ant = phy.antennas_per_ap
+    normalized = kind == "est3"
+    pilots = np.zeros(collision_size, dtype=int)          # every UE on pilot 0
+    amp = np.sqrt(config.ul_power_mw * config.num_pilots)
 
     nmse_out = np.empty((num_setups, collision_size))
     neb_out = np.empty((num_setups, collision_size))
@@ -59,99 +53,34 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
 
     for s in range(num_setups):
         topo = build_topology(config, rng, num_ues=collision_size)
-        beta = topo.beta                                    # (S, L)
-        order = np.argsort(-beta, axis=1, kind="stable")
-        nearby = order[:, :nearby_size]                     # (S, C)
-        gamma = p * tau * np.take_along_axis(beta, nearby, axis=1).sum(axis=1)
+        beta = bs_topology(config, topo.ue_positions).beta if cellular else topo.beta  # (S, L)
+        nearby = np.argsort(-beta, axis=1, kind="stable")[:, :nearby_size]
+        beta_nearby = np.take_along_axis(beta, nearby, axis=1)             # (S, C)
 
         h = draw_channels(np.broadcast_to(beta, (num_realizations,) + beta.shape),
-                          n_ant, rng)                       # (R, S, L, N)
-        noise = complex_noise((num_realizations, config.num_aps, n_ant), sigma2, rng)
-        y = amp * h.sum(axis=1) + noise                     # (R, L, N)
-        activity = (np.abs(y) ** 2).sum(axis=2) / n_ant     # (R, L)
-        mask = _top_serving_mask(activity, l_max, sigma2)   # (R, L)
+                          n_ant, rng)                                       # (R, S, L, N)
+        noise = complex_noise((num_realizations, phy.num_aps, 1, n_ant), config.noise_mw, rng)
+        y = accumulate_uplink(h, pilots, amp, noise)                        # (R, L, 1, N)
+        activity = pilot_activity(y)                                        # (R, 1, L)
+        serving = build_serving_sets(activity, l_max, config.noise_mw)
+        obs = downlink_observation(
+            y, serving, h, beta, pilots, phy, rng,
+            precoding_kind="normalized" if normalized else "standard",
+            cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
 
-        alpha_l = p * tau * beta.sum(axis=0)                # (L,)
-        alpha_t = mask @ alpha_l                            # (R,)
-
-        if kind == "est3":
-            alpha_hat_t = np.maximum(activity - sigma2, 0.0).sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(mask & (alpha_hat_t[:, None] > 0),
-                             np.sqrt(q * tau) / np.sqrt(n_ant * alpha_hat_t)[:, None], 0.0)
+        if cellular:
+            est = estimate_cellular(beta[:, 0], obs.z.real, config)        # (R, S)
         else:
-            norms = np.sqrt((np.abs(y) ** 2).sum(axis=2))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w = np.where(mask & (norms > 0), np.sqrt(q * tau) / norms, 0.0)
-
-        hy = np.einsum("rsln,rln->rsl", np.conj(h), y)
-        eta = complex_noise((num_realizations, collision_size), sigma2, rng)
-        z = (hy * w[:, None, :]).sum(axis=2) + eta          # (R, S)
-        rez = np.maximum(z.real, 1e-12 * np.sqrt(n_ant))
-
-        cte_nearby = np.sqrt(q * p) * tau * np.take_along_axis(beta, nearby, axis=1)
-        if kind == "est1":
-            est = n_ant * (cte_nearby.sum(axis=1)[None, :] / rez) ** 2 - sigma2
-        elif kind == "est2":
-            cte23 = cte_nearby ** (2.0 / 3.0)
-            est = n_ant * (cte23.sum(axis=1)[None, :] / rez) ** 2 * cte23.sum(axis=1)[None, :] \
-                - nearby_size * sigma2
-        elif kind == "est3":
-            pre = np.maximum(delta * (z.real - np.sqrt(sigma2)) / np.sqrt(n_ant),
-                             1e-12 * np.sqrt(n_ant))
-            est = (cte_nearby.sum(axis=1)[None, :] / pre) ** 2
-        else:
-            raise ValueError(f"unknown estimator kind {kind!r}")
-        est = np.maximum(est, gamma[None, :])
+            est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config, delta)
+        mask = serving.mask[:, 0]                                           # (R, L)
+        alpha_t = mask @ true_alpha_lt(beta, pilots, config)[0]             # (R,)
 
         ratio = (est - alpha_t[:, None]) / alpha_t[:, None]
         nmse_out[s] = (ratio ** 2).mean(axis=0)
         neb_out[s] = (est.mean(axis=0) - alpha_t.mean()) / alpha_t.mean()
-        sum_pt = mask.astype(float) @ beta.T                # (R, S)
-        sum_ck = np.take_along_axis(beta, nearby, axis=1).sum(axis=1)
+        sum_pt = mask.astype(float) @ beta.T                                # (R, S)
         with np.errstate(divide="ignore", invalid="ignore"):
-            nmd_out[s] = np.nanmean((sum_pt - sum_ck[None, :]) / sum_pt, axis=0)
+            nmd_out[s] = np.nanmean((sum_pt - beta_nearby.sum(axis=1)[None, :]) / sum_pt,
+                                    axis=0)
 
     return BenchResult(nmse=nmse_out.ravel(), neb=neb_out.ravel(), nmd=nmd_out.ravel())
-
-
-def _run_cellular_bench(collision_size: int, config: ScenarioConfig,
-                        rng: np.random.Generator,
-                        num_setups: int, num_realizations: int) -> BenchResult:
-    m = config.bs_antennas
-    tau = config.num_pilots
-    p = config.ul_power_mw
-    q = config.bs_dl_power_mw
-    sigma2 = config.noise_mw
-    side = config.square_length_m
-    amp = np.sqrt(p * tau)
-    center = np.array([side / 2.0, side / 2.0])
-
-    nmse_out = np.empty((num_setups, collision_size))
-    neb_out = np.empty((num_setups, collision_size))
-
-    for s in range(num_setups):
-        pos = rng.uniform(0.0, side, size=(collision_size, 2))
-        dist = np.sqrt(((pos - center) ** 2).sum(axis=1))
-        beta = pathloss_beta(dist, config)                  # (S,)
-        alpha_t = p * tau * beta.sum()
-
-        h = draw_channels(np.broadcast_to(beta, (num_realizations, collision_size)),
-                          m, rng)                           # (R, S, M)
-        noise = complex_noise((num_realizations, m), sigma2, rng)
-        y = amp * h.sum(axis=1) + noise                     # (R, M)
-        norms = np.sqrt((np.abs(y) ** 2).sum(axis=1))       # (R,)
-        hy = np.einsum("rsm,rm->rs", np.conj(h), y)
-        eta = complex_noise((num_realizations, collision_size), sigma2, rng)
-        z = np.sqrt(q * tau) / norms[:, None] * hy + eta
-        rez = np.maximum(z.real, 1e-12 * np.sqrt(m))
-
-        est = m * q * p * tau ** 2 * beta[None, :] ** 2 / rez ** 2 - sigma2
-        est = np.maximum(est, p * tau * beta[None, :])
-
-        ratio = (est - alpha_t) / alpha_t
-        nmse_out[s] = (ratio ** 2).mean(axis=0)
-        neb_out[s] = (est.mean(axis=0) - alpha_t) / alpha_t
-
-    return BenchResult(nmse=nmse_out.ravel(), neb=neb_out.ravel(),
-                       nmd=np.zeros(num_setups * collision_size))

@@ -13,8 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .access import build_serving_sets
-from .channel import complex_noise, draw_channels, select_pilots
+from .access import build_serving_sets, precoder_weights
+from .channel import (complex_noise, correlate_uplink, draw_channels, pilot_activity,
+                      select_pilots)
+from .estimators import cpu_alpha_hat
+from .kernels import accumulate_uplink
 from .scenario import ScenarioConfig, build_topology
 
 
@@ -33,25 +36,6 @@ class TrainingConfig:
     @property
     def duration_symbols(self) -> int:
         return self.rounds * self.repetitions
-
-
-def _averaged_activity(beta_act: np.ndarray, pilots: np.ndarray,
-                       config: ScenarioConfig, repetitions: int,
-                       rng: np.random.Generator) -> np.ndarray:
-    """Activity matrix (T, L) averaged over fresh channel/noise repetitions."""
-    n_ues, n_aps = beta_act.shape
-    n_ant = config.antennas_per_ap
-    amp = math.sqrt(config.ul_power_mw * config.num_pilots)
-    acc = np.zeros((config.num_pilots, n_aps))
-    h = draw_channels(np.broadcast_to(beta_act, (repetitions, n_ues, n_aps)), n_ant, rng)
-    noise = complex_noise((repetitions, n_aps, config.num_pilots, n_ant), config.noise_mw, rng)
-    y = noise
-    for t in range(config.num_pilots):
-        on_t = pilots == t
-        if on_t.any():
-            y[:, :, t, :] += amp * h[:, on_t, :, :].sum(axis=1)
-    acc = (np.abs(y) ** 2).sum(axis=3).mean(axis=0).T / n_ant  # (T, L)
-    return acc
 
 
 def train_lmax(training: TrainingConfig, rng: np.random.Generator,
@@ -74,8 +58,10 @@ def train_lmax(training: TrainingConfig, rng: np.random.Generator,
         if active.size == 0:
             continue
         pilots = select_pilots(active.size, config.num_pilots, rng)
-        avg = _averaged_activity(topology.gains(active), pilots, config,
-                                 training.repetitions, rng)
+        beta = topology.gains(active)
+        h = draw_channels(np.broadcast_to(beta, (training.repetitions,) + beta.shape),
+                          config.antennas_per_ap, rng)
+        avg = pilot_activity(correlate_uplink(h, pilots, config, rng)).mean(axis=0)  # (T, L)
         counts = []
         for t in np.unique(pilots):
             row = avg[t]
@@ -100,26 +86,24 @@ def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator
     sizes = list(collision_sizes)
     per_size = max(1, draws // len(sizes))
     n_ant = config.antennas_per_ap
-    amp = math.sqrt(config.ul_power_mw * config.num_pilots)
+    amp = np.sqrt(config.ul_power_mw * config.num_pilots)
     q_values = []
     for size in sizes:
         topo = build_topology(config, rng, num_ues=per_size * size)
-        beta = topo.beta.reshape(per_size, size, config.num_aps)
-        h = draw_channels(beta, n_ant, rng)                      # (D, S, L, N)
-        noise = complex_noise((per_size, config.num_aps, n_ant), config.noise_mw, rng)
-        y = amp * h.sum(axis=1) + noise                          # (D, L, N)
-        activity = (np.abs(y) ** 2).sum(axis=2) / n_ant          # (D, L)
-        alpha_hat = np.maximum(activity - config.noise_mw, 0.0).sum(axis=1)
-        for d in range(per_size):
-            serving = build_serving_sets(activity[d][None, :], l_max, config.noise_mw)
-            members = serving.p_t[0]
-            if members.size == 0 or alpha_hat[d] <= 0:
-                continue
-            q_lt = (config.dl_power_per_ap_mw / (n_ant * alpha_hat[d])) \
-                * activity[d, members] * n_ant
-            q_values.append(q_lt)
-    if not q_values:
+        h = draw_channels(topo.beta.reshape(per_size, size, config.num_aps), n_ant, rng)
+        noise = complex_noise((per_size, config.num_aps, 1, n_ant), config.noise_mw, rng)
+        y = accumulate_uplink(h, np.zeros(size, dtype=int), amp, noise)   # (D, L, 1, N)
+        activity = pilot_activity(y)                                      # (D, 1, L)
+        serving = build_serving_sets(activity, l_max, config.noise_mw)
+        _, q_eff = precoder_weights(y, serving.mask, config.dl_power_per_ap_mw,
+                                    config.num_pilots,
+                                    cpu_alpha_hat(activity, config.noise_mw))
+        # serving entries draw by draw, strongest first
+        ranked = np.take_along_axis(q_eff, serving.order, axis=-1)
+        q_values.append(ranked[np.arange(config.num_aps) < serving.size[..., None]])
+    q_all = np.concatenate(q_values)
+    if q_all.size == 0:
         raise RuntimeError("calibration produced no serving APs")
-    q_avg = float(np.concatenate(q_values).mean())
+    q_avg = float(q_all.mean())
     delta = math.sqrt(config.dl_power_per_ap_mw / q_avg)
     return delta, q_avg

@@ -45,19 +45,23 @@ def colliding_sets(pilots: np.ndarray, num_pilots: int) -> list[np.ndarray]:
 
 def correlate_uplink(h: np.ndarray, pilots: np.ndarray, config: ScenarioConfig,
                      rng: np.random.Generator) -> np.ndarray:
-    """Matched-filter uplink outputs y[l, t] of shape (L, T, N).
+    """Matched-filter uplink outputs y[..., l, t] of shape (..., L, T, N).
 
     y[l, t] = sqrt(p * tau_p) * sum over UEs on pilot t of h[k, l], plus an
-    effective CN(0, sigma^2 I) noise vector, fresh per (l, t).
+    effective CN(0, sigma^2 I) noise vector, fresh per (l, t). ``h`` is
+    (..., K, L, N); leading axes stack independent realizations.
     """
-    n_aps = h.shape[1]
-    n_ant = h.shape[2]
-    noise = complex_noise((n_aps, config.num_pilots, n_ant), config.noise_mw, rng)
+    *lead, _, n_aps, n_ant = h.shape
+    noise = complex_noise((*lead, n_aps, config.num_pilots, n_ant), config.noise_mw, rng)
     amp = np.sqrt(config.ul_power_mw * config.num_pilots)
     return kernels.accumulate_uplink(h, pilots, amp, noise)
 
 
 def pilot_activity(y: np.ndarray) -> np.ndarray:
-    """Per-antenna average received energy, shape (T, L): ||y_lt||^2 / N."""
-    n_ant = y.shape[2]
-    return (np.abs(y) ** 2).sum(axis=2).T / n_ant
+    """Per-antenna average received energy ||y_lt||^2 / N, shape (..., T, L)."""
+    return received_energy(y) / y.shape[-1]
+
+
+def received_energy(y: np.ndarray) -> np.ndarray:
+    """||y_lt||^2 summed over the antennas, shape (..., T, L)."""
+    return np.swapaxes((np.abs(y) ** 2).sum(axis=-1), -1, -2)

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import separability_prediction
-from .bench import run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .contention import PROTOCOLS, run_access_campaign
-from .estimators import ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec, best_pair
+from .estimators import ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec
 from .scenario import ScenarioConfig, load_config
-from .sweeps import FIGURE_CLASSES, SweepDescriptor, run_sweep, write_outputs
+from .sweeps import FIGURE_CLASSES, SweepDescriptor, bench_point, run_sweep, write_outputs
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -186,19 +185,15 @@ def _cmd_calibrate_delta(args) -> int:
 def _cmd_estimators_bench(args) -> int:
     config = _load_scenario(args)
     rng = np.random.default_rng(args.seed)
+    desc = SweepDescriptor(figure_class="estimator-bench",
+                           values=tuple(args.collision_sizes),
+                           trials=args.trials, seed=args.seed)
     rows = []
     for size in args.collision_sizes:
         for kind in args.estimators:
-            nearby, l_max = best_pair(kind, size)
-            result = run_estimator_bench(kind, size, nearby, l_max, config, rng,
-                                         num_setups=args.trials)
-            rows.append({
-                "collision_size": size, "estimator": kind,
-                "nmse_median": float(np.median(result.nmse)),
-                "neb_median": float(np.median(result.neb)),
-                "nmd_mean": float(np.nanmean(result.nmd)),
-            })
-            print(f"|S_t|={size} {kind}: NMSE median {rows[-1]['nmse_median']:.4g}")
+            report = bench_point(desc, size, kind, config, rng)
+            rows.append(asdict(report))
+            print(f"|S_t|={size} {kind}: NMSE median {report.nmse_median:.4g}")
     _emit(rows, args.out / f"estimators-bench.{args.format}", args.format)
     return 0
 

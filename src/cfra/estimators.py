@@ -121,8 +121,8 @@ def estimate_2(knowledge: UEKnowledge, config: ScenarioConfig):
 
 
 def cpu_alpha_hat(activity: np.ndarray, noise_mw: float) -> np.ndarray:
-    """CPU-side per-pilot aggregate of above-noise activity, shape (T,)."""
-    return np.maximum(activity - noise_mw, 0.0).sum(axis=1)
+    """CPU-side per-pilot aggregate of above-noise activity: (..., T, L) -> (..., T)."""
+    return np.maximum(activity - noise_mw, 0.0).sum(axis=-1)
 
 
 def preprocess_est3(re_z, delta: float, config: ScenarioConfig):

@@ -1,8 +1,9 @@
 """Batched numpy kernels: uplink accumulation and downlink observation.
 
 Both consume pre-drawn random arrays, so their results depend only on the
-inputs. Each sums in the same order as a per-UE loop and is bit-identical
-to one.
+inputs, and both take any number of leading axes (realizations, draws): a
+stacked call equals the per-slice calls bit for bit. The campaigns, the
+estimator bench and the calibration all run these two functions.
 """
 
 from __future__ import annotations
@@ -13,26 +14,29 @@ import numpy as np
 def accumulate_uplink(h, pilots, amp, noise):
     """Per-pilot matched-filter output at every AP.
 
-    h: (K, L, N) complex channels, pilots: (K,) pilot index per UE,
-    amp: scalar sqrt(p * tau_p), noise: (L, T, N) complex.
-    Returns y with y[l, t] = amp * sum_{k: pilots[k]=t} h[k, l] + noise[l, t].
+    h: (..., K, L, N) complex channels, pilots: (K,) pilot index per UE,
+    amp: scalar sqrt(p * tau_p), noise: (..., L, T, N) complex.
+    Returns y with y[..., l, t] = amp * sum_{k: pilots[k]=t} h[..., k, l] + noise[..., l, t];
+    the channels of a pilot are summed in UE order before scaling.
     """
     y = noise.copy()
     for t in np.unique(pilots):
         members = np.flatnonzero(pilots == t)
-        # a reduction over the leading axis adds the rows one after another,
-        # noise first, exactly like accumulating UE by UE
-        y[:, t] = np.concatenate([noise[None, :, t], amp * h[members]]).sum(axis=0)
+        if members[-1] - members[0] + 1 == members.size:   # a run of UEs: no gather copy
+            members = slice(members[0], members[-1] + 1)
+        y[..., t, :] = amp * h[..., members, :, :].sum(axis=-3) + noise[..., t, :]
     return y
 
 
 def observe_downlink(h, y, pilots, scale, dl_noise):
     """Scalar downlink observation per UE after pilot correlation.
 
-    scale: (L, T) real weights folding serving membership and precoder
+    scale: (..., T, L) real weights folding serving membership and precoder
     normalization; zero entries mean the AP does not serve that pilot.
-    dl_noise: (K,) complex receiver noise. Returns z of shape (K,).
+    dl_noise: (..., K) complex receiver noise. Returns z of shape (..., K).
     """
-    y_k = y[:, pilots].transpose(1, 0, 2)                 # (K, L, N): each UE's pilot
-    corr = (np.conj(h) * y_k).sum(axis=2)                 # (K, L)
-    return dl_noise + (scale[:, pilots].T * corr).sum(axis=1)
+    y_k = y[..., pilots, :]                                   # (..., L, K, N), a copy
+    np.conjugate(y_k, out=y_k)
+    # conj(sum h * conj(y)) equals sum conj(h) * y bit for bit, without copying h
+    corr = np.conj(np.einsum("...kln,...lkn->...kl", h, y_k))  # (..., K, L)
+    return dl_noise + (scale[..., pilots, :] * corr).sum(axis=-1)

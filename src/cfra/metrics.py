@@ -16,23 +16,6 @@ CSV_COLUMNS = [
 ]
 
 
-def nmd(sum_over_serving: float, sum_over_nearby: float) -> float:
-    """Relative mismatch between the serving-set and nearby-set gain sums."""
-    if sum_over_serving <= 0.0:
-        raise ValueError("serving-set gain sum must be positive")
-    return (sum_over_serving - sum_over_nearby) / sum_over_serving
-
-
-def estimator_stats(estimates, alpha_true: float) -> tuple[float, float]:
-    """(normalized bias, normalized mean squared error) of the estimates."""
-    est = np.asarray(estimates, dtype=float)
-    if alpha_true <= 0.0:
-        raise ValueError("alpha_true must be positive")
-    neb = (est.mean() - alpha_true) / alpha_true
-    nmse = float(((est - alpha_true) ** 2).mean()) / alpha_true ** 2
-    return float(neb), nmse
-
-
 def iqr(values) -> float:
     values = np.asarray(values, dtype=float)
     if values.size == 0:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -204,15 +204,22 @@ def _grown(table: np.ndarray, capacity: int, used: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
 def ap_grid(num_aps: int, square_length_m: float) -> np.ndarray:
-    """Centered uniform sqrt(L) x sqrt(L) grid; rejects non-square L."""
+    """Centered uniform sqrt(L) x sqrt(L) grid; rejects non-square L.
+
+    Built once per layout and shared read-only: the bench and the
+    calibration drop a fresh topology for every setup.
+    """
     side = math.isqrt(num_aps)
     if side * side != num_aps:
         raise ValueError(f"num_aps={num_aps} is not a perfect square; grid placement undefined")
     pitch = square_length_m / side
     coords = pitch / 2.0 + pitch * np.arange(side)
     xx, yy = np.meshgrid(coords, coords, indexing="xy")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    grid = np.column_stack([xx.ravel(), yy.ravel()])
+    grid.flags.writeable = False
+    return grid
 
 
 def pathloss_beta(distances: np.ndarray, config: ScenarioConfig) -> np.ndarray:
@@ -286,12 +293,6 @@ def nearby_set(topology: Topology, ue: int, config: ScenarioConfig,
     if members.size == 0:
         members = order[:1]
     return NearbySet(ue_index=ue, ap_indices=members, is_natural=(iota == 1.0))
-
-
-def nearby_set_topn(topology: Topology, ue: int, size: int) -> NearbySet:
-    """Fixed-size variant: the ``size`` strongest APs regardless of threshold."""
-    order = _order_desc(topology.gains(ue))
-    return NearbySet(ue_index=ue, ap_indices=order[:size], is_natural=False)
 
 
 def natural_sets(topology: Topology, config: ScenarioConfig,

@@ -68,8 +68,9 @@ class SweepDescriptor:
             raise ValueError(f"unknown nearby_method {self.nearby_method!r}")
 
 
-def _bench_point(desc: SweepDescriptor, size: int, kind: str,
-                 config: ScenarioConfig, rng) -> MetricsReport:
+def bench_point(desc: SweepDescriptor, size: int, kind: str,
+                config: ScenarioConfig, rng) -> MetricsReport:
+    """One estimator-bench row: NMSE/NEB/NMD of ``kind`` at collision size ``size``."""
     nearby_size, l_max = best_pair(kind, size)
     result = run_estimator_bench(
         kind, size, nearby_size, l_max, config, rng,
@@ -134,7 +135,7 @@ def run_sweep(desc: SweepDescriptor, config: ScenarioConfig,
             if "ce-sucre" in desc.protocols:
                 kinds.append("cellular")
             for kind in kinds:
-                reports.append(_bench_point(desc, value, kind, config, rng))
+                reports.append(bench_point(desc, value, kind, config, rng))
         elif desc.figure_class == "separability":
             reports.append(_separability_point(desc, value, config))
         else:

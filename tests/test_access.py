@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from cfra.access import (build_serving_sets, downlink_observation,
-                         serving_sets_from_mask, true_alpha_lt)
+from cfra.access import (build_serving_sets, downlink_observation, large_n_observation,
+                         precoder_weights, true_alpha_lt)
 from cfra.channel import correlate_uplink, draw_channels, pilot_activity
 from cfra.estimators import cpu_alpha_hat
 from cfra.scenario import ScenarioConfig, build_topology
@@ -27,8 +27,6 @@ def test_build_serving_sets_basic():
     assert list(serving.p_t[1]) == []
     assert serving.mask[0, 0] and serving.mask[0, 2] and not serving.mask[0, 1]
     assert list(serving.operative_aps) == [0, 2]
-    assert list(serving.t_l[0]) == [0]
-    assert list(serving.t_l[1]) == []
 
 
 def test_build_serving_sets_no_truncation_at_full_cap():
@@ -43,35 +41,71 @@ def test_build_serving_sets_tie_break_lower_index():
     assert list(serving.p_t[0]) == [0, 1]
 
 
+def _serving_rule_per_row(row, l_max, noise_mw):
+    order = np.argsort(-row, kind="stable")
+    return order[row[order] > noise_mw][:l_max]
+
+
+@pytest.mark.parametrize("l_max", [1, 3, 6])
+def test_stacked_serving_sets_equal_per_slice_calls(l_max):
+    """Each (T, L) draw of a stack is ranked on its own, ties and empty rows included."""
+    rng = np.random.default_rng(10)
+    activity = rng.choice([0.0, 0.3, 1.0, 2.0, 5.0], size=(4, 3, 5, 6))   # many ties
+    activity[0, 1] = 0.1           # a whole draw below noise
+    activity[2, 0, 3] = 0.5        # one pilot row exactly at noise
+    stacked = build_serving_sets(activity, l_max, noise_mw=0.5)
+    assert stacked.mask.shape == activity.shape and stacked.size.shape == (4, 3, 5)
+    assert not stacked.mask[0, 1].any() and not stacked.mask[2, 0, 3].any()
+    for i in np.ndindex(4, 3):
+        one = build_serving_sets(activity[i], l_max, noise_mw=0.5)
+        assert np.array_equal(stacked.mask[i], one.mask)
+        assert np.array_equal(stacked.order[i], one.order)
+        assert np.array_equal(stacked.size[i], one.size)
+        for t in range(5):
+            rule = _serving_rule_per_row(activity[i][t], l_max, 0.5)
+            assert np.array_equal(one.p_t[t], rule)
+            assert np.array_equal(stacked.p_t[np.ravel_multi_index(i + (t,), (4, 3, 5))], rule)
+
+
+def test_stacked_precoder_and_large_n_equal_per_slice_calls():
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(11)
+    topo = build_topology(cfg, rng, num_ues=6)
+    pilots = np.array([0, 0, 1, 2, 2, 2])
+    h = draw_channels(np.broadcast_to(topo.beta, (3,) + topo.beta.shape),
+                      cfg.antennas_per_ap, rng)
+    y = correlate_uplink(h, pilots, cfg, rng)                      # (3, L, T, N)
+    activity = pilot_activity(y)
+    activity[1, 2] = 0.0                                           # pilot 2 unserved in draw 1
+    serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
+    alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw)
+    q = cfg.dl_power_per_ap_mw
+    for alpha in (None, alpha_hat):
+        scale, q_eff = precoder_weights(y, serving.mask, q, cfg.num_pilots, alpha)
+        z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg, q, alpha)
+        assert z_tilde.shape == (3, 6) and z_tilde[1, 3:].tolist() == [0.0] * 3
+        for d in range(3):
+            one = None if alpha is None else alpha[d]
+            s_d, q_d = precoder_weights(y[d], serving.mask[d], q, cfg.num_pilots, one)
+            assert np.array_equal(scale[d], s_d) and np.array_equal(q_eff[d], q_d)
+            assert np.array_equal(z_tilde[d], large_n_observation(
+                topo.beta, pilots, serving.mask[d], cfg, q, one))
+
+
 def test_build_serving_sets_rejects_bad_cap():
     with pytest.raises(ValueError):
         build_serving_sets(np.ones((1, 4)), l_max=0, noise_mw=0.1)
 
 
-def test_serving_sets_mask_roundtrip():
-    cfg = ScenarioConfig()
-    rng = np.random.default_rng(0)
-    _, _, _, _, activity = _uplink(cfg, rng)
-    serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
-    rebuilt = serving_sets_from_mask(serving.mask, activity)
-    for t in range(cfg.num_pilots):
-        assert np.array_equal(serving.p_t[t], rebuilt.p_t[t])
-    for l in range(cfg.num_aps):
-        assert np.array_equal(serving.t_l[l], rebuilt.t_l[l])
-
-
 def test_dual_view_involution():
-    """p_t and t_l describe the same membership mask."""
+    """p_t and the mask describe the same membership; p_t runs strongest first."""
     cfg = ScenarioConfig()
     rng = np.random.default_rng(1)
     _, _, _, _, activity = _uplink(cfg, rng, num_ues=12)
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     for t in range(cfg.num_pilots):
-        for l in serving.p_t[t]:
-            assert t in serving.t_l[l]
-    for l in range(cfg.num_aps):
-        for t in serving.t_l[l]:
-            assert l in serving.p_t[t]
+        assert sorted(serving.p_t[t]) == list(np.flatnonzero(serving.mask[t]))
+        assert np.all(np.diff(activity[t, serving.p_t[t]]) <= 0)
 
 
 def test_true_alpha_lt_values():

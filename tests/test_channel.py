@@ -89,37 +89,65 @@ def test_pilot_activity_mean():
 
 
 def _accumulate_uplink_loop(h, pilots, amp, noise):
+    # per pilot: the UEs' channels added one after another, then scaled, then the noise
     y = noise.copy()
-    for k in range(h.shape[0]):
-        y[:, pilots[k], :] += amp * h[k]
+    for t in np.unique(pilots):
+        members = np.flatnonzero(pilots == t)
+        acc = h[members[0]]
+        for k in members[1:]:
+            acc = acc + h[k]
+        y[:, t, :] = amp * acc + noise[:, t, :]
     return y
 
 
 def _observe_downlink_loop(h, y, pilots, scale, dl_noise):
+    # per UE and AP: the correlation accumulated antenna by antenna in scalar
+    # complex arithmetic, then weighted and summed over the APs
     z = dl_noise.copy()
-    for k in range(h.shape[0]):
-        t = pilots[k]
-        corr = (np.conj(h[k]) * y[:, t, :]).sum(axis=1)
-        z[k] += (scale[:, t] * corr).sum()
+    for k, t in enumerate(pilots):
+        corr = np.zeros(h.shape[1], dtype=complex)
+        for l in range(h.shape[1]):
+            acc = 0j
+            for n in range(h.shape[2]):
+                acc += complex(h[k, l, n]).conjugate() * complex(y[l, t, n])
+            corr[l] = acc
+        z[k] = dl_noise[k] + (scale[t] * corr).sum()
     return z
+
+
+def _kernel_inputs(rng, K, L, N, T=5, lead=()):
+    h = (rng.standard_normal((*lead, K, L, N)) + 1j * rng.standard_normal((*lead, K, L, N))) \
+        * 10.0 ** rng.uniform(-6, 0, (*lead, K, L, 1))
+    pilots = rng.integers(0, T, size=K)
+    noise = 0.1 * (rng.standard_normal((*lead, L, T, N)) + 1j * rng.standard_normal((*lead, L, T, N)))
+    scale = rng.random((*lead, T, L)) * (rng.random((*lead, T, L)) < 0.5)
+    dl_noise = 0.1 * (rng.standard_normal((*lead, K)) + 1j * rng.standard_normal((*lead, K)))
+    return h, pilots, noise, scale, dl_noise
 
 
 @pytest.mark.parametrize("K, L, N", [(1, 64, 8), (9, 16, 4), (60, 64, 8), (7, 1, 64)])
 def test_kernels_match_per_ue_loop(K, L, N):
     """The batched kernels add in the per-UE loop's order: equal bit for bit."""
-    rng = np.random.default_rng(6)
-    T = 5
-    h = (rng.standard_normal((K, L, N)) + 1j * rng.standard_normal((K, L, N))) \
-        * 10.0 ** rng.uniform(-6, 0, (K, L, 1))
-    pilots = rng.integers(0, T, size=K)
-    noise = 0.1 * (rng.standard_normal((L, T, N)) + 1j * rng.standard_normal((L, T, N)))
+    h, pilots, noise, scale, dl_noise = _kernel_inputs(np.random.default_rng(6), K, L, N)
     y = accumulate_uplink(h, pilots, 2.5, noise)
     assert np.array_equal(y, _accumulate_uplink_loop(h, pilots, 2.5, noise))
-
-    scale = rng.random((L, T)) * (rng.random((L, T)) < 0.5)
-    dl_noise = 0.1 * (rng.standard_normal(K) + 1j * rng.standard_normal(K))
     assert np.array_equal(observe_downlink(h, y, pilots, scale, dl_noise),
                           _observe_downlink_loop(h, y, pilots, scale, dl_noise))
+
+
+@pytest.mark.parametrize("K, L, N", [(1, 64, 8), (12, 64, 8), (10, 1, 64)])
+def test_stacked_calls_equal_per_slice_calls(K, L, N):
+    """A leading realization axis (2 x 3 here) gives each slice's own result exactly."""
+    h, pilots, noise, scale, dl_noise = _kernel_inputs(np.random.default_rng(9), K, L, N,
+                                                       lead=(2, 3))
+    y = accumulate_uplink(h, pilots, 2.5, noise)
+    z = observe_downlink(h, y, pilots, scale, dl_noise)
+    activity = pilot_activity(y)
+    assert activity.shape == (2, 3, 5, L)
+    for i in np.ndindex(2, 3):
+        assert np.array_equal(y[i], accumulate_uplink(h[i], pilots, 2.5, noise[i]))
+        assert np.array_equal(z[i], observe_downlink(h[i], y[i], pilots, scale[i], dl_noise[i]))
+        assert np.array_equal(activity[i], pilot_activity(y[i]))
 
 
 def test_favorable_propagation():

@@ -2,10 +2,14 @@
 
 import csv
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from cfra.cli import main
+from cfra.scenario import ScenarioConfig
+from cfra.sweeps import SweepDescriptor, bench_point
 
 
 @pytest.fixture
@@ -76,6 +80,24 @@ def test_estimators_bench(tmp_path, small_cfg):
     assert code == 0
     rows = _read_csv(tmp_path / "estimators-bench.csv")
     assert [r["estimator"] for r in rows] == ["est1", "cellular"]
+
+
+def test_estimators_bench_rows_are_sweep_bench_points(tmp_path):
+    """The CLI emits exactly the rows ``sweeps.bench_point`` defines."""
+    assert main(["estimators-bench", "--out", str(tmp_path), "--format", "json",
+                 "--trials", "2", "--seed", "4", "--collision-sizes", "1", "3",
+                 "--estimators", "est2", "cellular"]) == 0
+    rows = json.loads((tmp_path / "estimators-bench.json").read_text())
+    cfg = ScenarioConfig()
+    desc = SweepDescriptor(figure_class="estimator-bench", values=(1, 3), trials=2, seed=4)
+    rng = np.random.default_rng(4)
+    expect = [asdict(bench_point(desc, size, kind, cfg, rng))
+              for size in (1, 3) for kind in ("est2", "cellular")]
+    assert len(rows) == len(expect)
+    for got, want in zip(rows, expect):
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name] == value or (value != value and got[name] != got[name]), name
 
 
 def test_estimators_bench_rejects_untuned_size(tmp_path, capsys):

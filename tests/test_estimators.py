@@ -128,6 +128,12 @@ def test_cpu_alpha_hat():
     activity = np.array([[1.0, 0.2, 0.7], [0.4, 0.4, 0.4]])
     out = cpu_alpha_hat(activity, noise)
     assert out == pytest.approx([0.7, 0.0])
+    # a leading draw axis reduces over the APs of each draw, not over the draws
+    stacked = np.random.default_rng(0).random((4, 5, 64))
+    out = cpu_alpha_hat(stacked, noise)
+    assert out.shape == (4, 5)
+    for d in range(4):
+        assert np.array_equal(out[d], cpu_alpha_hat(stacked[d], noise))
 
 
 def test_preprocess_est3_delta_scaling():

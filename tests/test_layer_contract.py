@@ -14,7 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfra import contention
+from cfra import bench, calibration, contention
+from cfra.calibration import TrainingConfig
+from cfra.estimators import best_pair
 from cfra.scenario import ScenarioConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -51,3 +53,34 @@ def test_campaigns_reach_every_traced_function(perfbench):
     assert not tracer.missing
     assert not tracer.hook_errors
     assert sorted(name for name in expected if not calls[name]) == []
+
+
+def test_offline_ops_reach_every_traced_function(perfbench):
+    """One reduced op of each offline-phy kind reaches what the workload must reach."""
+    tracing, workloads = perfbench
+    config = ScenarioConfig()
+    rng = np.random.default_rng(0)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for kind in workloads.BENCH_KINDS:
+            nearby, l_max = best_pair(kind, 3)
+            res = bench.run_estimator_bench(kind, 3, nearby, l_max, config, rng,
+                                            num_setups=1, num_realizations=8)
+            assert np.isfinite(res.nmse).all()
+        calibration.calibrate_delta(config, config.num_aps, rng, draws=50)
+        training = TrainingConfig(ScenarioConfig(num_inactive_ues=2000, access_probability=0.01),
+                                  rounds=2, repetitions=4)
+        calibration.train_lmax(training, rng)
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[i] for i in tracer.name_ix]
+    calls = Counter(names)
+    assert not tracer.missing
+    assert not tracer.hook_errors
+    assert sorted(name for name in workloads._IN_OFFLINE if not calls[name]) == []
+    # calibration ranks all draws of a collision size in one row-wise call
+    in_calibration = [n for n, parent in zip(names, tracer.parent)
+                      if n == "access.build_serving_sets"
+                      and names[parent] == "calibration.calibrate_delta"]
+    assert len(in_calibration) == 10

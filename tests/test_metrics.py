@@ -3,26 +3,9 @@
 import numpy as np
 import pytest
 
-from cfra.metrics import (CSV_COLUMNS, MetricsReport, estimator_stats, iqr,
-                          nmd, read_reports, tcp, write_reports)
+from cfra.metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
+                          write_reports)
 from cfra.scenario import ScenarioConfig
-
-
-def test_nmd():
-    assert nmd(2.0, 1.5) == pytest.approx(0.25)
-    assert nmd(1.0, 1.0) == 0.0
-    with pytest.raises(ValueError):
-        nmd(0.0, 1.0)
-
-
-def test_estimator_stats():
-    neb, nmse = estimator_stats([1.0, 3.0], 2.0)
-    assert neb == pytest.approx(0.0)
-    assert nmse == pytest.approx(0.25)
-    neb, _ = estimator_stats([3.0, 3.0], 2.0)
-    assert neb == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        estimator_stats([1.0], 0.0)
 
 
 def test_iqr():

@@ -9,8 +9,7 @@ import pytest
 from cfra.scenario import (MIN_DISTANCE_M, ScenarioConfig, ap_grid,
                            bs_topology, build_topology, db_to_linear,
                            limit_distance, linear_to_db, load_config,
-                           natural_sets, nearby_set, nearby_set_topn,
-                           pathloss_beta)
+                           natural_sets, nearby_set, pathloss_beta)
 
 
 def test_db_roundtrip():
@@ -233,15 +232,6 @@ def test_nearby_set_fallback_single_strongest():
         ns = nearby_set(topo, ue, cfg)
         assert ns.ap_indices.size == 1
         assert ns.ap_indices[0] == topo.beta[ue].argmax()
-
-
-def test_nearby_set_topn():
-    cfg = ScenarioConfig()
-    rng = np.random.default_rng(3)
-    topo = build_topology(cfg, rng, num_ues=4)
-    ns = nearby_set_topn(topo, 0, 7)
-    assert ns.ap_indices.size == 7
-    assert topo.beta[0, ns.ap_indices[0]] == topo.beta[0].max()
 
 
 def test_natural_sets_match_single_calls():
