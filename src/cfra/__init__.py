@@ -17,7 +17,7 @@ from .analysis import (SeparabilityPrediction, distance_cdf, distance_pdf,
                        separability_prediction)
 from .bench import BenchResult, run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
-from .channel import (colliding_sets, complex_noise, correlate_uplink,
+from .channel import (complex_noise, correlate_uplink,
                       draw_channels, pilot_activity, received_energy,
                       select_pilots)
 from .contention import (PROTOCOLS, AttemptOutcome, CampaignResult,

@@ -100,12 +100,9 @@ class DownlinkObservation:
 def true_alpha_lt(beta_active: np.ndarray, pilots: np.ndarray,
                   config: ScenarioConfig) -> np.ndarray:
     """Ground-truth per-(pilot, AP) UL signal power, shape (T, L)."""
-    n_pilots = config.num_pilots
-    alpha = np.zeros((n_pilots, beta_active.shape[1]))
-    for t in range(n_pilots):
-        on_t = pilots == t
-        if on_t.any():
-            alpha[t] = config.ul_power_mw * config.num_pilots * beta_active[on_t].sum(axis=0)
+    alpha = np.zeros((config.num_pilots, beta_active.shape[1]))
+    for t, members in kernels.pilot_groups(pilots, config.num_pilots):
+        alpha[t] = config.ul_power_mw * config.num_pilots * beta_active[members].sum(axis=0)
     return alpha
 
 
@@ -113,8 +110,7 @@ def downlink_observation(y: np.ndarray, serving: ServingSets, h: np.ndarray,
                          beta_active: np.ndarray, pilots: np.ndarray,
                          config: ScenarioConfig, rng: np.random.Generator,
                          precoding_kind: str = "standard",
-                         cpu_alpha_hat: np.ndarray | None = None,
-                         dl_power_mw: float | None = None) -> DownlinkObservation:
+                         cpu_alpha_hat: np.ndarray | None = None) -> DownlinkObservation:
     """Correlated scalar z_k at every transmitting UE, shape (..., K).
 
     ``h`` is (..., K, L, N) and ``y``, ``serving`` and ``cpu_alpha_hat`` carry
@@ -126,11 +122,9 @@ def downlink_observation(y: np.ndarray, serving: ServingSets, h: np.ndarray,
         raise ValueError(f"unknown precoding kind {precoding_kind!r}")
     if (cpu_alpha_hat is None) != (precoding_kind == "standard"):
         raise ValueError("cpu_alpha_hat must be provided iff precoding is normalized")
-    if dl_power_mw is None:
-        dl_power_mw = config.dl_power_per_ap_mw
 
-    scale, q_eff = precoder_weights(y, serving.mask, dl_power_mw, config.num_pilots,
-                                    cpu_alpha_hat)
+    scale, q_eff = precoder_weights(y, serving.mask, config.dl_power_per_ap_mw,
+                                    config.num_pilots, cpu_alpha_hat)
     eta = complex_noise(h.shape[:-2], config.noise_mw, rng)
     z = kernels.observe_downlink(h, y, pilots, scale, eta)
 
@@ -138,12 +132,11 @@ def downlink_observation(y: np.ndarray, serving: ServingSets, h: np.ndarray,
     return DownlinkObservation(
         z=z, served=served, precoding_kind=precoding_kind, effective_dl_power=q_eff,
         large_n=partial(large_n_observation, beta_active, pilots, serving.mask, config,
-                        dl_power_mw, cpu_alpha_hat))
+                        cpu_alpha_hat))
 
 
 def large_n_observation(beta_active: np.ndarray, pilots: np.ndarray,
                         serving_mask: np.ndarray, config: ScenarioConfig,
-                        dl_power_mw: float,
                         cpu_alpha_hat: np.ndarray | None = None) -> np.ndarray:
     """Deterministic large-N value of Re(z_k)/sqrt(N) for every UE, shape (..., K).
 
@@ -152,7 +145,8 @@ def large_n_observation(beta_active: np.ndarray, pilots: np.ndarray,
     gains by sqrt(alpha_hat_t). UEs on an unserved pilot, or on a pilot with
     alpha_hat_t = 0, get 0.
     """
-    cte = np.sqrt(dl_power_mw * config.ul_power_mw) * config.num_pilots * beta_active  # (K, L)
+    amplitude = np.sqrt(config.dl_power_per_ap_mw * config.ul_power_mw) * config.num_pilots
+    cte = amplitude * beta_active                                           # (K, L)
     if cpu_alpha_hat is None:
         alpha_lt = true_alpha_lt(beta_active, pilots, config)
         per_ap = cte / np.sqrt(alpha_lt + config.noise_mw)[pilots]

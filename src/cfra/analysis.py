@@ -31,19 +31,15 @@ def distance_cdf(d: float, side: float) -> float:
     """Model CDF of the distance between two uniform points on the square.
 
     The closed form is normalized over the full difference-coordinate range
-    2*side (each coordinate difference spans [-side, side]), so every
-    argument in [0, sqrt(2)*side] falls in the first branch.
+    2*side (each coordinate difference spans [-side, side]). Every argument
+    in [0, sqrt(2)*side] lies below 2*side, so only the short-range branch
+    of the piecewise form applies.
     """
     if d < -_EDGE_TOL or d > _SQRT2 * side + _EDGE_TOL:
         raise ValueError(f"distance {d} outside [0, sqrt(2)*{side}]")
     d = min(max(d, 0.0), _SQRT2 * side)
     span = 2.0 * side
-    if d < span:
-        val = (2.0 / span ** 4) * (_g(d, d, span) - _g(0.0, d, span))
-    else:  # unreachable for d <= sqrt(2)*side; kept for the full piecewise form
-        val = (2.0 / span ** 4) * (2.0 * _g(span, d, span)
-                                   - _g(math.sqrt(d * d - span * span), d, span)
-                                   - _g(0.0, d, span))
+    val = (2.0 / span ** 4) * (_g(d, d, span) - _g(0.0, d, span))
     return min(max(val, 0.0), 1.0)
 
 

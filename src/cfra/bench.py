@@ -16,9 +16,9 @@ import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
 from .channel import complex_noise, draw_channels, pilot_activity
-from .estimators import cpu_alpha_hat, estimate, estimate_cellular, knowledge_for
+from .estimators import cpu_alpha_hat, estimate, knowledge_for
 from .kernels import accumulate_uplink
-from .scenario import ScenarioConfig, bs_topology, build_topology
+from .scenario import ScenarioConfig, build_topology
 
 
 @dataclass
@@ -37,8 +37,9 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
                         delta: float | None = None) -> BenchResult:
     """Median-ready NMSE/NEB samples for one estimator at one collision size.
 
-    The cellular estimator runs the same loop on the single-BS view, where
-    the one serving "AP" is the BS and ``l_max`` must be 1.
+    The cellular estimator runs the same loop on the single-BS view
+    (``Topology.bs_view``), where the one serving "AP" is the BS and
+    ``l_max`` must be 1.
     """
     cellular = kind == "cellular"
     phy = config.bs_config if cellular else config
@@ -53,7 +54,7 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
 
     for s in range(num_setups):
         topo = build_topology(config, rng, num_ues=collision_size)
-        beta = bs_topology(config, topo.ue_positions).beta if cellular else topo.beta  # (S, L)
+        beta = (topo.bs_view if cellular else topo).beta                  # (S, L)
         nearby = np.argsort(-beta, axis=1, kind="stable")[:, :nearby_size]
         beta_nearby = np.take_along_axis(beta, nearby, axis=1)             # (S, C)
 
@@ -68,10 +69,7 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
             precoding_kind="normalized" if normalized else "standard",
             cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
 
-        if cellular:
-            est = estimate_cellular(beta[:, 0], obs.z.real, config)        # (R, S)
-        else:
-            est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config, delta)
+        est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config, delta)
         mask = serving.mask[:, 0]                                           # (R, L)
         alpha_t = mask @ true_alpha_lt(beta, pilots, config)[0]             # (R,)
 

@@ -33,10 +33,6 @@ class TrainingConfig:
         if self.rounds < 1 or self.repetitions < 1:
             raise ValueError("rounds and repetitions must be >= 1")
 
-    @property
-    def duration_symbols(self) -> int:
-        return self.rounds * self.repetitions
-
 
 def train_lmax(training: TrainingConfig, rng: np.random.Generator,
                topology=None) -> tuple[int, list[float]]:

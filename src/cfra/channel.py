@@ -38,11 +38,6 @@ def select_pilots(num_ues: int, num_pilots: int, rng: np.random.Generator) -> np
     return rng.integers(0, num_pilots, size=num_ues)
 
 
-def colliding_sets(pilots: np.ndarray, num_pilots: int) -> list[np.ndarray]:
-    """UE indices per pilot (indices are positions within ``pilots``)."""
-    return [np.flatnonzero(pilots == t) for t in range(num_pilots)]
-
-
 def correlate_uplink(h: np.ndarray, pilots: np.ndarray, config: ScenarioConfig,
                      rng: np.random.Generator) -> np.ndarray:
     """Matched-filter uplink outputs y[..., l, t] of shape (..., L, T, N).

@@ -1,21 +1,21 @@
 """Contention resolution and protocol orchestration.
 
-Single-attempt runners for the three protocols plus the multi-block access
-campaign that produces attempt counts and power bookkeeping.
+One attempt runner shared by the three protocols, on per-UE and per-pilot
+arrays, plus the multi-block access campaign that produces attempt counts
+and power bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
-from .channel import (colliding_sets, correlate_uplink, draw_channels,
-                      pilot_activity, select_pilots)
-from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, estimate_cellular,
-                         greedy_flexible_decide, knowledge_for)
-from .scenario import ScenarioConfig, Topology, bs_topology, build_topology, natural_sets
+from .channel import correlate_uplink, draw_channels, pilot_activity, select_pilots
+from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, greedy_flexible_decide,
+                         knowledge_for)
+from .scenario import ScenarioConfig, Topology, build_topology, natural_sets
 
 PROTOCOLS = ("bcf", "cf-sucre", "ce-sucre")
 
@@ -26,73 +26,57 @@ def sucre_decision(gamma: float, alpha_hat: float) -> bool:
     return gamma > alpha_hat / 2.0
 
 
-def _ap_bits(aps) -> int:
-    """AP indices as a Python-int bitmask, so any number of APs fits."""
-    bits = 0
-    for l in np.asarray(aps, dtype=np.int64).ravel().tolist():
-        bits |= 1 << l
-    return bits
+def spatial_separability_admit(region, pilots, serving_mask) -> np.ndarray:
+    """Which winners keep at least one exclusively-nearby serving AP.
 
-
-def spatial_separability_admit(winners, natural_by_ue: dict, serving_aps) -> set:
-    """Winners that keep at least one exclusively-nearby serving AP.
-
-    A winner is admitted when (a) some serving AP lies inside its influence
-    region and (b) at least one of those APs is inside no other winner's
-    region: ``own & serving & ~others != 0`` on AP bitmasks.
+    ``region`` (W, L) marks the APs inside each winner's influence region,
+    ``pilots`` (W,) holds the winners' pilots and ``serving_mask`` (T, L) the
+    pilot-serving APs. A winner is admitted when some AP serving its pilot
+    lies in its own region and in no other region claimed on the same
+    pilot. Returns a (W,) bool mask.
     """
-    winners = list(winners)
-    serving = _ap_bits(serving_aps)
-    regions = [_ap_bits(natural_by_ue[k]) for k in winners]
-    admitted = set()
-    for k, own in zip(winners, regions):
-        others = 0
-        for i, region in zip(winners, regions):
-            if i != k:
-                others |= region
-        if own & serving & ~others:
-            admitted.add(k)
-    return admitted
+    on_pilot = np.arange(serving_mask.shape[0])[:, None] == pilots       # (T, W)
+    claims = (on_pilot.astype(float) @ region)[pilots]    # (W, L) same-pilot claims, own included
+    return (region & serving_mask[pilots] & (claims == 1.0)).any(axis=1)
 
 
 @dataclass
 class AttemptOutcome:
-    """Everything one access attempt produced, plus diagnostics."""
+    """Everything one access attempt produced, per transmitting UE and per pilot."""
 
-    admitted: set = field(default_factory=set)          # UE ids admitted this attempt
-    winners: dict = field(default_factory=dict)         # pilot -> list of winning UE ids
-    colliders: dict = field(default_factory=dict)       # pilot -> list of UE ids
-    decisions: dict = field(default_factory=dict)       # UE id -> repeat decision
-    alpha_hat: dict = field(default_factory=dict)       # UE id -> its estimate
-    alpha_true: dict = field(default_factory=dict)      # pilot -> true total UL power
-    unserved: set = field(default_factory=set)          # UEs whose pilot had no serving AP
-    active_pilots: int = 0
-    operative_ap_count: int = 0
-    served_active_per_ap: float = 0.0   # mean over operative APs of served active pilots
-    q_eff_mean: float = float("nan")    # mean effective DL power over serving entries
-
-
-def _empty_outcome() -> AttemptOutcome:
-    return AttemptOutcome()
+    ues: np.ndarray             # (K,) transmitting UE ids
+    pilots: np.ndarray          # (K,) pilot each UE chose
+    served: np.ndarray          # (K,) bool; False when the UE's pilot had no serving AP
+    repeat: np.ndarray          # (K,) bool repeat decision; every UE under bcf
+    alpha_hat: np.ndarray       # (K,) estimated total UL power; nan where not estimated
+    alpha_true: np.ndarray      # (T,) true total UL power over each pilot's serving APs
+    admitted: np.ndarray        # ids of the UEs admitted this attempt
+    active_pilots: int
+    operative_ap_count: int
+    served_active_per_ap: float     # mean over operative APs of served active pilots
+    q_eff_mean: float               # mean effective DL power over serving entries
 
 
 def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
                 active_ues, config: ScenarioConfig,
                 rng: np.random.Generator) -> AttemptOutcome:
-    """One coherence block of the chosen protocol for the given active UEs."""
+    """One coherence block of the chosen protocol for the given active UEs.
+
+    ce-sucre runs the same steps on the single-BS view (``topology.bs_view``
+    with ``config.bs_config``): its one M-antenna site lies in every UE's
+    influence region, so separability admits a winner exactly when it
+    repeats alone on its pilot.
+    """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "ce-sucre":
         if spec.kind != "cellular":
             raise ValueError("ce-sucre requires the cellular estimator")
-        return _run_attempt_cellular(topology, active_ues, config, rng)
-    if protocol == "cf-sucre" and spec.kind == "cellular":
+        topology, config = topology.bs_view, config.bs_config
+    elif protocol == "cf-sucre" and spec.kind == "cellular":
         raise ValueError("the cellular estimator only applies to ce-sucre")
 
     active = np.asarray(list(active_ues), dtype=int)
-    if active.size == 0:
-        return _empty_outcome()
-
     beta_act = topology.gains(active)                   # (K, L)
     pilots = select_pilots(active.size, config.num_pilots, rng)
     h = draw_channels(beta_act, config.antennas_per_ap, rng)
@@ -101,125 +85,54 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
 
     l_max = config.num_aps if protocol == "bcf" else config.l_max
     serving = build_serving_sets(activity, l_max, config.noise_mw)
-    nat = natural_sets(topology, config, active)
-    ues = active.tolist()
-    nat_by_ue = dict(zip(ues, nat))
+    served = serving.mask.any(axis=1)[pilots]
+    order, size = natural_sets(beta_act, config)
+    alpha_true = np.where(serving.mask, true_alpha_lt(beta_act, pilots, config), 0.0).sum(axis=1)
+    used = np.zeros(config.num_pilots, dtype=bool)
+    used[pilots] = True
+    served_active = (serving.mask & used[:, None]).sum(axis=0)[serving.operative_aps]
 
-    out = AttemptOutcome()
-    sets = colliding_sets(pilots, config.num_pilots)
-    alpha_lt = true_alpha_lt(beta_act, pilots, config)
-    for t, members in enumerate(sets):
-        if members.size:
-            out.colliders[t] = active[members].tolist()
-            out.alpha_true[t] = float(alpha_lt[t, serving.p_t[t]].sum())
-    out.active_pilots = sum(1 for m in sets if m.size)
-    out.operative_ap_count = int(serving.operative_aps.size)
-    if serving.operative_aps.size:
-        active_mask = np.array([m.size > 0 for m in sets])
-        served_active = (serving.mask & active_mask[:, None]).sum(axis=0)
-        out.served_active_per_ap = float(served_active[serving.operative_aps].mean())
-
-    if protocol == "bcf":
-        # no RA response / decision: every colliding UE is a winner
-        out.decisions = dict.fromkeys(ues, True)
-        _admit_winners(out, active, sets, np.ones(active.size, dtype=bool),
-                       nat_by_ue, serving)
-        return out
-
-    # CF-SUCRe: precoded response, distributed decision, separability check
-    normalized = spec.kind == "est3"
-    alpha_hat_t = cpu_alpha_hat(activity, config.noise_mw) if normalized else None
-    obs = downlink_observation(
-        y, serving, h, beta_act, pilots, config, rng,
-        precoding_kind="normalized" if normalized else "standard",
-        cpu_alpha_hat=alpha_hat_t)
-    if normalized:
-        q_vals = obs.effective_dl_power[serving.mask]
-        out.q_eff_mean = float(q_vals.mean()) if q_vals.size else float("nan")
-    else:
-        out.q_eff_mean = config.dl_power_per_ap_mw
-
-    # one decision batch per natural-set length: the gains of a batch form an
-    # exact (B, n) block, so every sum runs over the same terms as for one UE
-    repeat = np.zeros(active.size, dtype=bool)
-    alpha_hat = np.zeros(active.size)
-    served = np.flatnonzero(obs.served)
-    lengths = np.array([m.size for m in nat])[served]
-    for n in np.unique(lengths):
-        batch = served[lengths == n]
-        nearby = np.stack([nat[i] for i in batch])                    # (B, n)
-        knowledge = knowledge_for(np.take_along_axis(beta_act[batch], nearby, axis=1),
-                                  obs.z[batch].real, config)
-        alpha_hat[batch] = estimate(spec.kind, knowledge, config, spec.delta)
-        if spec.nearby_method == "greedy":
-            repeat[batch] = greedy_flexible_decide(knowledge, spec, config)
+    # bcf has no RA response or decision: every colliding UE is a winner
+    repeat = np.full(active.size, protocol == "bcf")
+    alpha_hat = np.full(active.size, np.nan)
+    q_eff_mean = float("nan")
+    if protocol != "bcf":
+        # precoded response, then the distributed decision
+        normalized = spec.kind == "est3"
+        obs = downlink_observation(
+            y, serving, h, beta_act, pilots, config, rng,
+            precoding_kind="normalized" if normalized else "standard",
+            cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
+        if normalized:
+            q_vals = obs.effective_dl_power[serving.mask]
+            q_eff_mean = float(q_vals.mean()) if q_vals.size else float("nan")
         else:
-            repeat[batch] = sucre_decision(knowledge.gamma, alpha_hat[batch])
+            q_eff_mean = config.dl_power_per_ap_mw
 
-    out.unserved = set(active[~obs.served].tolist())
-    out.decisions = dict(zip(ues, repeat.tolist()))
-    out.alpha_hat = dict(zip(active[served].tolist(), alpha_hat[served].tolist()))
-    _admit_winners(out, active, sets, repeat, nat_by_ue, serving)
-    return out
+        # one decision batch per natural-set length: the gains of a batch form an
+        # exact (B, n) block, so every sum runs over the same terms as for one UE
+        candidates = np.flatnonzero(served)
+        for n in np.flatnonzero(np.bincount(size[candidates])):
+            batch = candidates[size[candidates] == n]
+            knowledge = knowledge_for(beta_act[batch[:, None], order[batch, :n]],
+                                      obs.z[batch].real, config)
+            alpha_hat[batch] = estimate(spec.kind, knowledge, config, spec.delta)
+            if spec.nearby_method == "greedy":
+                repeat[batch] = greedy_flexible_decide(knowledge, spec, config)
+            else:
+                repeat[batch] = sucre_decision(knowledge.gamma, alpha_hat[batch])
 
-
-def _admit_winners(out: AttemptOutcome, active: np.ndarray, sets: list,
-                   repeat: np.ndarray, nat_by_ue: dict, serving) -> None:
-    """Record each pilot's repeating UEs and admit the spatially separable ones."""
-    for t, members in enumerate(sets):
-        winners = active[members[repeat[members]]].tolist()
-        if winners:
-            out.winners[t] = winners
-            out.admitted |= spatial_separability_admit(winners, nat_by_ue, serving.p_t[t])
-
-
-def _run_attempt_cellular(topology: Topology, active_ues, config: ScenarioConfig,
-                          rng: np.random.Generator) -> AttemptOutcome:
-    """Single-BS SUCRe: same machinery with one M-antenna site at the center;
-    a winner is admitted only when it retransmits alone."""
-    active = np.asarray(list(active_ues), dtype=int)
-    if active.size == 0:
-        return _empty_outcome()
-
-    beta_act = bs_topology(config, topology.ue_positions[active]).beta   # (K, 1)
-    pilots = select_pilots(active.size, config.num_pilots, rng)
-    h = draw_channels(beta_act, config.bs_antennas, rng)
-    y = correlate_uplink(h, pilots, config, rng)
-    activity = pilot_activity(y)
-    serving = build_serving_sets(activity, 1, config.noise_mw)
-
-    obs = downlink_observation(y, serving, h, beta_act, pilots, config.bs_config, rng,
-                               dl_power_mw=config.bs_dl_power_mw)
-
-    out = AttemptOutcome()
-    sets = colliding_sets(pilots, config.num_pilots)
-    p_tau = config.ul_power_mw * config.num_pilots
-    for t, members in enumerate(sets):
-        if members.size:
-            out.colliders[t] = active[members].tolist()
-            out.alpha_true[t] = float(p_tau * beta_act[members, 0].sum()) \
-                if serving.p_t[t].size else 0.0
-    out.active_pilots = sum(1 for m in sets if m.size)
-    out.operative_ap_count = 1
-    out.served_active_per_ap = float(out.active_pilots)
-    out.q_eff_mean = config.bs_dl_power_mw
-
-    served = np.flatnonzero(obs.served)
-    beta_k = beta_act[served, 0]
-    alpha_hat = estimate_cellular(beta_k, obs.z[served].real, config)
-    repeat = np.zeros(active.size, dtype=bool)
-    repeat[served] = sucre_decision(p_tau * beta_k, alpha_hat)
-    out.unserved = set(active[~obs.served].tolist())
-    out.decisions = dict(zip(active.tolist(), repeat.tolist()))
-    out.alpha_hat = dict(zip(active[served].tolist(), alpha_hat.tolist()))
-
-    for t, members in enumerate(sets):
-        winners = active[members[repeat[members]]].tolist()
-        if winners:
-            out.winners[t] = winners
-            if len(winners) == 1:
-                out.admitted.add(winners[0])
-    return out
+    winners = np.flatnonzero(repeat)
+    region = np.zeros((winners.size, config.num_aps), dtype=bool)   # natural sets as masks
+    region[np.arange(winners.size)[:, None], order[winners]] = \
+        np.arange(config.num_aps) < size[winners, None]
+    admit = spatial_separability_admit(region, pilots[winners], serving.mask)
+    return AttemptOutcome(
+        ues=active, pilots=pilots, served=served, repeat=repeat, alpha_hat=alpha_hat,
+        alpha_true=alpha_true, admitted=active[winners[admit]],
+        active_pilots=int(used.sum()), operative_ap_count=int(served_active.size),
+        served_active_per_ap=int(served_active.sum()) / max(served_active.size, 1),
+        q_eff_mean=q_eff_mean)
 
 
 @dataclass
@@ -287,10 +200,9 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
 
         out = run_attempt(protocol, spec, topology, go, config, rng)
         attempts[go] += 1
-        for ue in out.admitted:
-            succeeded[ue] = True
-            resolved[ue] = True
-            in_progress[ue] = False
+        succeeded[out.admitted] = True
+        resolved[out.admitted] = True
+        in_progress[out.admitted] = False
         exhausted = go[(attempts[go] >= config.max_attempts) & ~succeeded[go]]
         resolved[exhausted] = True
         in_progress[exhausted] = False

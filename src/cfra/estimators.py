@@ -87,9 +87,8 @@ def eps_z(n_antennas: int) -> float:
     return 1e-12 * np.sqrt(n_antennas)
 
 
-def _cte(beta: np.ndarray, config: ScenarioConfig, dl_power_mw: float | None = None) -> np.ndarray:
-    q = config.dl_power_per_ap_mw if dl_power_mw is None else dl_power_mw
-    return np.sqrt(q * config.ul_power_mw) * config.num_pilots * beta
+def _cte(beta: np.ndarray, config: ScenarioConfig) -> np.ndarray:
+    return np.sqrt(config.dl_power_per_ap_mw * config.ul_power_mw) * config.num_pilots * beta
 
 
 # Every estimator below works on one UE or on a batch: gains reduce over the
@@ -103,14 +102,12 @@ def estimate_1(knowledge: UEKnowledge, config: ScenarioConfig):
     return np.maximum(raw, knowledge.gamma)
 
 
-def estimate_2_per_ap(beta: np.ndarray, re_z, config: ScenarioConfig,
-                      dl_power_mw: float | None = None,
-                      n_antennas: int | None = None) -> np.ndarray:
+def estimate_2_per_ap(beta: np.ndarray, re_z, config: ScenarioConfig) -> np.ndarray:
     """Closed-form per-AP power split minimizing the total under the
     observation constraint; the sum over APs (the last axis) is the estimate."""
-    n = config.antennas_per_ap if n_antennas is None else n_antennas
+    n = config.antennas_per_ap
     rez = np.maximum(re_z, eps_z(n))
-    cte23 = _cte(np.asarray(beta, dtype=float), config, dl_power_mw) ** (2.0 / 3.0)
+    cte23 = _cte(np.asarray(beta, dtype=float), config) ** (2.0 / 3.0)
     factor = n * np.square(cte23.sum(axis=-1) / rez)
     return np.expand_dims(factor, -1) * cte23 - config.noise_mw
 
@@ -155,6 +152,13 @@ def estimate_cellular(beta_k, re_z, config: ScenarioConfig):
 
 def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig,
              delta: float | None = None):
+    """Run estimator ``kind`` on ``knowledge``.
+
+    ``cellular`` reads the gain toward the one site of the single-BS view,
+    the first (and only) nearby gain.
+    """
+    if kind == "cellular":
+        return estimate_cellular(knowledge.beta_nearby[..., 0], knowledge.re_z, config)
     if kind == "est1":
         return estimate_1(knowledge, config)
     if kind == "est2":

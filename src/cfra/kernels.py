@@ -11,6 +11,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def pilot_groups(pilots, num_pilots):
+    """Yield ``(t, members)`` for every used pilot t, members in UE order.
+
+    One stable sort of ``pilots`` replaces a ``pilots == t`` scan per pilot.
+    """
+    by_pilot = np.argsort(pilots, kind="stable")
+    end = 0
+    for t, n in enumerate(np.bincount(pilots, minlength=num_pilots).tolist()):
+        if n:
+            yield t, by_pilot[end:end + n]
+            end += n
+
+
 def accumulate_uplink(h, pilots, amp, noise):
     """Per-pilot matched-filter output at every AP.
 
@@ -20,8 +33,7 @@ def accumulate_uplink(h, pilots, amp, noise):
     the channels of a pilot are summed in UE order before scaling.
     """
     y = noise.copy()
-    for t in np.unique(pilots):
-        members = np.flatnonzero(pilots == t)
+    for t, members in pilot_groups(pilots, noise.shape[-2]):
         if members[-1] - members[0] + 1 == members.size:   # a run of UEs: no gather copy
             members = slice(members[0], members[-1] + 1)
         y[..., t, :] = amp * h[..., members, :, :].sum(axis=-3) + noise[..., t, :]

@@ -55,7 +55,6 @@ class ScenarioConfig:
     reattempt_probability: float = 0.5
     iota: float = 1.0
     l_max: int = 10
-    rng_seed: int = 0
 
     def __post_init__(self):
         if not (math.isfinite(self.square_length_m) and self.square_length_m > 0.0):
@@ -109,7 +108,7 @@ class ScenarioConfig:
 
 _INT_FIELDS = {
     "num_pilots", "num_aps", "antennas_per_ap", "num_inactive_ues",
-    "bs_antennas", "max_attempts", "l_max", "rng_seed",
+    "bs_antennas", "max_attempts", "l_max",
 }
 
 
@@ -140,12 +139,12 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
 
 
 class Topology:
-    """AP grid and UE drop, with distance / channel-gain rows on demand.
+    """AP grid and UE drop, with channel-gain rows on demand.
 
-    The ``[ue, ap]`` distance and gain rows of a UE are computed the first
-    time :meth:`gains` asks for them and cached for the topology's lifetime,
-    so a campaign pays only for the UEs that transmit. ``beta`` and
-    ``distances`` fill and return the whole table.
+    The ``[ue, ap]`` gain row of a UE is computed the first time :meth:`gains`
+    asks for it and cached for the topology's lifetime, so a campaign pays
+    only for the UEs that transmit. ``beta`` fills and returns the whole
+    table; ``distances`` is computed from the positions on every read.
     """
 
     def __init__(self, ap_positions: np.ndarray, ue_positions: np.ndarray,
@@ -156,9 +155,7 @@ class Topology:
         n_ues, n_aps = ue_positions.shape[0], ap_positions.shape[0]
         self._slot = np.full(n_ues, -1, dtype=np.intp)  # UE -> cache row, -1 if not computed
         self._count = 0
-        self._distances = np.empty((0, n_aps))
         self._beta = np.empty((0, n_aps))
-        self._natural: dict = {}    # natural-set threshold -> {ue: AP indices}
 
     @property
     def computed_rows(self) -> int:
@@ -174,15 +171,12 @@ class Topology:
         return self._beta[self._slot[rows]]
 
     def _fill(self, new: np.ndarray) -> None:
-        diff = self.ue_positions[new][:, None, :] - self.ap_positions[None, :, :]
-        distances = np.sqrt((diff ** 2).sum(axis=2))
         start, end = self._count, self._count + new.size
         if end > self._beta.shape[0]:
             capacity = min(max(end, 2 * self._beta.shape[0]), self._slot.size)
-            self._distances = _grown(self._distances, capacity, start)
             self._beta = _grown(self._beta, capacity, start)
-        self._distances[start:end] = distances
-        self._beta[start:end] = pathloss_beta(distances, self.config)
+        self._beta[start:end] = pathloss_beta(
+            _distances(self.ue_positions[new], self.ap_positions), self.config)
         self._slot[new] = np.arange(start, end)
         self._count = end
 
@@ -194,8 +188,21 @@ class Topology:
     @property
     def distances(self) -> np.ndarray:
         """The full ``[ue, ap]`` distance table in meters."""
-        self.gains(np.arange(self._slot.size))
-        return self._distances[self._slot]
+        return _distances(self.ue_positions, self.ap_positions)
+
+    @cached_property
+    def bs_view(self) -> Topology:
+        """The single-BS view of the same UEs (:func:`bs_topology`), built once.
+
+        Its row indices are the UE ids, and its gain rows are computed on
+        first use like this topology's own.
+        """
+        return bs_topology(self.config, self.ue_positions)
+
+
+def _distances(ue_positions: np.ndarray, ap_positions: np.ndarray) -> np.ndarray:
+    diff = ue_positions[:, None, :] - ap_positions[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
 
 
 def _grown(table: np.ndarray, capacity: int, used: int) -> np.ndarray:
@@ -295,25 +302,14 @@ def nearby_set(topology: Topology, ue: int, config: ScenarioConfig,
     return NearbySet(ue_index=ue, ap_indices=members, is_natural=(iota == 1.0))
 
 
-def natural_sets(topology: Topology, config: ScenarioConfig,
-                 ue_indices) -> list[np.ndarray]:
-    """Natural nearby sets (iota = 1) for several UEs at once.
+def natural_sets(beta: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Natural nearby sets (iota = 1) of the UEs whose gain rows are ``beta`` (K, L).
 
-    Sets are cached on the topology per UE and per detection threshold
-    (the config's DL power and noise), and returned read-only.
+    Returns ``(order, size)``: each row's APs by descending gain, ties to the
+    lower index (as :func:`nearby_set`), and the natural-set length per UE,
+    at least 1. UE ``k``'s set is ``order[k, :size[k]]``.
     """
-    cache = topology._natural.setdefault((config.dl_power_per_ap_mw, config.noise_mw), {})
-    ues = [int(k) for k in ue_indices]
-    missing = sorted({k for k in ues if k not in cache})
-    if missing:
-        beta = topology.gains(missing)
-        order = np.argsort(-beta, axis=1, kind="stable")     # per row, as _order_desc
-        above = config.dl_power_per_ap_mw * np.take_along_axis(beta, order, axis=1) \
-            > config.noise_mw
-        # rows are sorted, so the APs above the threshold are a prefix; keep >= 1
-        sizes = np.maximum(above.sum(axis=1), 1)
-        for k, row, size in zip(missing, order, sizes.tolist()):
-            members = row[:size].copy()
-            members.flags.writeable = False
-            cache[k] = members
-    return [cache[k] for k in ues]
+    order = np.argsort(-beta, axis=1, kind="stable")
+    # the APs above the threshold are a prefix of each ranked row; keep >= 1
+    size = np.maximum((config.dl_power_per_ap_mw * beta > config.noise_mw).sum(axis=1), 1)
+    return order, size

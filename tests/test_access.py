@@ -82,14 +82,14 @@ def test_stacked_precoder_and_large_n_equal_per_slice_calls():
     q = cfg.dl_power_per_ap_mw
     for alpha in (None, alpha_hat):
         scale, q_eff = precoder_weights(y, serving.mask, q, cfg.num_pilots, alpha)
-        z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg, q, alpha)
+        z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg, alpha)
         assert z_tilde.shape == (3, 6) and z_tilde[1, 3:].tolist() == [0.0] * 3
         for d in range(3):
             one = None if alpha is None else alpha[d]
             s_d, q_d = precoder_weights(y[d], serving.mask[d], q, cfg.num_pilots, one)
             assert np.array_equal(scale[d], s_d) and np.array_equal(q_eff[d], q_d)
             assert np.array_equal(z_tilde[d], large_n_observation(
-                topo.beta, pilots, serving.mask[d], cfg, q, one))
+                topo.beta, pilots, serving.mask[d], cfg, one))
 
 
 def test_build_serving_sets_rejects_bad_cap():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from cfra.channel import (colliding_sets, complex_noise, correlate_uplink,
+from cfra.channel import (complex_noise, correlate_uplink,
                           draw_channels, pilot_activity, select_pilots)
 from cfra.kernels import accumulate_uplink, observe_downlink
 from cfra.scenario import ScenarioConfig, build_topology
@@ -41,12 +41,6 @@ def test_select_pilots_range_and_uniformity():
     assert pilots.min() >= 0 and pilots.max() <= 4
     counts = np.bincount(pilots, minlength=5) / pilots.size
     assert np.allclose(counts, 0.2, atol=0.01)
-
-
-def test_colliding_sets_partition():
-    pilots = np.array([0, 2, 2, 4, 0])
-    sets = colliding_sets(pilots, 5)
-    assert [list(s) for s in sets] == [[0, 4], [], [1, 2], [], [3]]
 
 
 def test_correlate_uplink_linearity():

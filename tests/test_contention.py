@@ -16,32 +16,48 @@ def test_sucre_decision():
     assert not sucre_decision(1.0, 2.5)
 
 
+def _regions(natural_by_ue, winners, num_aps):
+    region = np.zeros((len(winners), num_aps), dtype=bool)
+    for w, k in enumerate(winners):
+        region[w, natural_by_ue[k]] = True
+    return region
+
+
+def _admit_one_pilot(winners, natural_by_ue, serving_aps, num_aps=8):
+    """Admitted ids of winners that share one pilot, through the array rule."""
+    serving = np.zeros((1, num_aps), dtype=bool)
+    serving[0, serving_aps] = True
+    admit = spatial_separability_admit(_regions(natural_by_ue, winners, num_aps),
+                                       np.zeros(len(winners), dtype=int), serving)
+    return {k for k, ok in zip(winners, admit) if ok}
+
+
 def test_admit_disjoint_regions_both_win():
     natural = {1: [0, 1], 2: [2, 3]}
-    admitted = spatial_separability_admit([1, 2], natural, [0, 1, 2, 3])
+    admitted = _admit_one_pilot([1, 2], natural, [0, 1, 2, 3])
     assert admitted == {1, 2}
 
 
 def test_admit_shared_region_blocks_both():
     natural = {1: [0], 2: [0]}
-    assert spatial_separability_admit([1, 2], natural, [0]) == set()
+    assert _admit_one_pilot([1, 2], natural, [0]) == set()
 
 
 def test_admit_partial_overlap():
     # UE 1 keeps AP 1 exclusively; UE 2 only has the contested AP 0
     natural = {1: [0, 1], 2: [0]}
-    assert spatial_separability_admit([1, 2], natural, [0, 1]) == {1}
+    assert _admit_one_pilot([1, 2], natural, [0, 1]) == {1}
 
 
 def test_admit_requires_serving_ap_in_region():
     natural = {1: [5]}
-    assert spatial_separability_admit([1], natural, [0, 1]) == set()
+    assert _admit_one_pilot([1], natural, [0, 1]) == set()
 
 
 def test_admit_overlap_outside_serving_is_harmless():
     # AP 0 is shared but not serving; exclusive serving AP 1 still admits UE 1
     natural = {1: [0, 1], 2: [0]}
-    assert spatial_separability_admit([1, 2], natural, [1]) == {1}
+    assert _admit_one_pilot([1, 2], natural, [1]) == {1}
 
 
 def _admit_by_sets(winners, natural_by_ue, serving_aps):
@@ -60,19 +76,37 @@ def _admit_by_sets(winners, natural_by_ue, serving_aps):
 
 @pytest.mark.parametrize("num_aps", [4, 64, 100])
 def test_admit_bitmasks_match_set_rule(num_aps):
-    """The bitmask rule equals the set rule, also beyond 64 APs."""
+    """The mask rule over all pilots at once equals the set rule applied
+    pilot by pilot, also beyond 64 APs."""
     rng = np.random.default_rng(num_aps)
     outcomes = set()
     for _ in range(400):
-        ues = rng.choice(1000, size=int(rng.integers(1, 7)), replace=False)
+        ues = rng.choice(1000, size=int(rng.integers(1, 10)), replace=False)
         natural = {int(k): rng.choice(num_aps, size=int(rng.integers(1, min(num_aps, 12) + 1)),
                                       replace=False) for k in ues}
-        serving = rng.choice(num_aps, size=int(rng.integers(0, num_aps + 1)), replace=False)
+        pilots = rng.integers(0, 3, size=ues.size)
+        serving = rng.random((3, num_aps)) < rng.random()
         winners = [int(k) for k in ues]
-        admitted = spatial_separability_admit(winners, natural, serving)
-        assert admitted == _admit_by_sets(winners, natural, serving)
-        outcomes.update(k in admitted for k in winners)
+        admit = spatial_separability_admit(_regions(natural, winners, num_aps), pilots, serving)
+        expected = set()
+        for t in range(3):
+            on_t = [k for k, p in zip(winners, pilots) if p == t]
+            expected |= _admit_by_sets(on_t, natural, np.flatnonzero(serving[t]))
+        assert {k for k, ok in zip(winners, admit) if ok} == expected
+        outcomes.update(admit.tolist())
     assert outcomes == {True, False}
+
+
+def test_admit_on_one_ap_view_is_alone_on_pilot():
+    """With one AP in every region and serving every winner's pilot (the
+    single-BS view), exactly the winners alone on their pilot are admitted."""
+    rng = np.random.default_rng(12)
+    for _ in range(300):
+        pilots = rng.integers(0, 5, size=int(rng.integers(0, 12)))
+        serving = rng.random((5, 1)) < 0.5
+        serving[pilots] = True
+        admit = spatial_separability_admit(np.ones((pilots.size, 1), dtype=bool), pilots, serving)
+        assert np.array_equal(admit, np.bincount(pilots, minlength=5)[pilots] == 1)
 
 
 def test_run_attempt_validation():
@@ -93,7 +127,7 @@ def test_run_attempt_empty_active_set():
     topo = build_topology(cfg, rng, num_ues=2)
     out = run_attempt("bcf", EstimatorSpec(), topo, [], cfg, rng)
     assert isinstance(out, AttemptOutcome)
-    assert not out.admitted and out.active_pilots == 0
+    assert out.admitted.size == 0 and out.ues.size == 0 and out.active_pilots == 0
 
 
 def test_bcf_lone_ue_admitted():
@@ -101,8 +135,9 @@ def test_bcf_lone_ue_admitted():
     rng = np.random.default_rng(2)
     topo = build_topology(cfg, rng, num_ues=1)
     out = run_attempt("bcf", EstimatorSpec(), topo, [0], cfg, rng)
-    assert out.admitted == {0}
-    assert out.decisions[0] is True
+    assert out.admitted.tolist() == [0]
+    assert out.repeat.tolist() == [True]
+    assert np.isnan(out.alpha_hat).all()
     assert out.active_pilots == 1
 
 
@@ -114,6 +149,7 @@ def test_cf_sucre_lone_ue_repeats_and_wins():
     for _ in range(20):
         out = run_attempt("cf-sucre", EstimatorSpec(kind="est2"), topo, [0], cfg, rng)
         wins += 0 in out.admitted
+        assert np.array_equal(np.isfinite(out.alpha_hat), out.served)
     assert wins >= 18  # collision-free access succeeds essentially always
 
 
@@ -125,12 +161,12 @@ def test_ce_sucre_singleton_winner_rule():
     saw_multi = False
     for _ in range(30):
         out = run_attempt("ce-sucre", spec, topo, range(12), cfg, rng)
-        for t, winners in out.winners.items():
-            if len(winners) > 1:
-                saw_multi = True
-                assert not (set(winners) & out.admitted)
-            else:
-                assert winners[0] in out.admitted
+        assert out.operative_ap_count <= 1
+        assert not out.repeat[~out.served].any()
+        per_pilot = np.bincount(out.pilots[out.repeat], minlength=cfg.num_pilots)
+        saw_multi |= bool((per_pilot > 1).any())
+        lone = out.repeat & (per_pilot[out.pilots] == 1)
+        assert out.admitted.tolist() == out.ues[lone].tolist()
     assert saw_multi
 
 
@@ -139,9 +175,9 @@ def test_bcf_admitted_subset_of_colliders():
     rng = np.random.default_rng(5)
     topo = build_topology(cfg, rng, num_ues=20)
     out = run_attempt("bcf", EstimatorSpec(), topo, range(20), cfg, rng)
-    all_colliders = {ue for members in out.colliders.values() for ue in members}
-    assert out.admitted <= all_colliders
-    assert all_colliders == set(range(20))
+    assert out.ues.tolist() == list(range(20)) and out.repeat.all()
+    assert set(out.admitted.tolist()) <= set(range(20))
+    assert out.active_pilots == np.unique(out.pilots).size
 
 
 def test_campaign_attempt_bound_and_flags():
@@ -222,6 +258,16 @@ PINNED_CAMPAIGNS = [
      [3, 1, 10, 10, 1, 10, 10, 1, 10, 10, 10, 10, 3, 10, 10, 10, 10, 10, 10, 10,
       10, 10, 10, 10, 10]),
 ]
+# the same campaigns' tau_bar_pl, tau_bar, l_bar and q_eff_mw; under ce-sucre
+# the BS serving mask must give one operative AP serving every active pilot
+PINNED_MEANS = {
+    ("bcf", EstimatorSpec()): [4.989583333333333, 5.0, 64.0, float("nan")],
+    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy")):
+        [1.334259443637983, 4.909090909090909, 36.81818181818182, 3.125],
+    ("cf-sucre", EstimatorSpec(kind="est3")):
+        [1.3741777049936967, 5.0, 36.63157894736842, 0.29200929165908146],
+    ("ce-sucre", EstimatorSpec(kind="cellular")): [5.0, 5.0, 1.0, 200.0],
+}
 
 
 @pytest.mark.parametrize("protocol, spec, anaa, attempts", PINNED_CAMPAIGNS)
@@ -230,3 +276,5 @@ def test_campaign_pinned_at_fixed_seed(protocol, spec, anaa, attempts):
     res = run_access_campaign(protocol, spec, cfg, np.random.default_rng(7))
     assert res.attempts.tolist() == attempts
     assert res.anaa == anaa
+    assert np.array_equal([res.tau_bar_pl, res.tau_bar, res.l_bar, res.q_eff_mw],
+                          PINNED_MEANS[protocol, spec], equal_nan=True)

@@ -155,8 +155,12 @@ def test_estimate_dispatch():
     cfg = ScenarioConfig()
     k = knowledge_for(np.array([1e-9]), 1e-3, cfg)
     assert estimate("est1", k, cfg) == estimate_1(k, cfg)
+    assert estimate("cellular", k, cfg) == estimate_cellular(1e-9, 1e-3, cfg)
+    batch = knowledge_for(np.array([[1e-9], [2e-9]]), np.array([1e-3, -1.0]), cfg)
+    assert np.array_equal(estimate("cellular", batch, cfg),
+                          estimate_cellular(np.array([1e-9, 2e-9]), np.array([1e-3, -1.0]), cfg))
     with pytest.raises(ValueError):
-        estimate("cellular", k, cfg)
+        estimate("est4", k, cfg)
 
 
 def test_greedy_superset_of_fixed():

@@ -238,23 +238,38 @@ def test_natural_sets_match_single_calls():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(4)
     topo = build_topology(cfg, rng, num_ues=6)
-    sets = natural_sets(topo, cfg, range(6))
+    order, size = natural_sets(topo.gains(range(6)), cfg)
+    assert order.shape == (6, cfg.num_aps) and size.shape == (6,)
     for ue in range(6):
         single = nearby_set(topo, ue, cfg, iota=1.0).ap_indices
-        assert np.array_equal(sets[ue], single)
+        assert np.array_equal(order[ue, :size[ue]], single)
 
 
-def test_natural_sets_cache_follows_config():
+def test_natural_sets_follow_config():
     cfg = ScenarioConfig()
     quiet = ScenarioConfig(dl_power_per_ap_mw=cfg.dl_power_per_ap_mw / 50.0)
     topo = build_topology(cfg, np.random.default_rng(5), num_ues=8)
-    first = natural_sets(topo, cfg, [4, 1, 4])
-    assert first[0] is first[2]
-    assert not first[0].flags.writeable
+    beta = topo.gains(range(8))
+    sizes = []
     for other in (quiet, cfg):
-        cached = natural_sets(topo, other, range(8))
+        order, size = natural_sets(beta, other)
         for ue in range(8):
-            uncached = nearby_set(topo, ue, other, iota=1.0).ap_indices
-            assert np.array_equal(cached[ue], uncached)
-    assert any(len(a) != len(b) for a, b in zip(natural_sets(topo, cfg, range(8)),
-                                                natural_sets(topo, quiet, range(8))))
+            single = nearby_set(topo, ue, other, iota=1.0).ap_indices
+            assert np.array_equal(order[ue, :size[ue]], single)
+        sizes.append(size)
+    assert (sizes[0] >= 1).all() and (sizes[0] <= sizes[1]).all()
+    assert not np.array_equal(*sizes)
+
+
+def test_bs_view_is_the_cached_single_bs_topology():
+    cfg = ScenarioConfig()
+    topo = build_topology(cfg, np.random.default_rng(6), num_ues=30)
+    view = topo.bs_view
+    assert view is topo.bs_view
+    assert view.computed_rows == 0 and topo.computed_rows == 0
+    ref = bs_topology(cfg, topo.ue_positions)
+    rows = np.array([29, 3, 3, 11])                 # row indices are UE ids
+    assert np.array_equal(view.gains(rows), ref.beta[rows])
+    assert view.computed_rows == 3 and topo.computed_rows == 0
+    order, size = natural_sets(view.gains(rows), cfg.bs_config)
+    assert (order == 0).all() and (size == 1).all()
