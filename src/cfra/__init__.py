@@ -10,15 +10,15 @@ closed-form separability predictions.
 __version__ = "1.0.0"
 
 from .access import (DownlinkObservation, ServingSets, build_serving_sets,
-                     downlink_observation, large_n_observation, precoder_weights,
-                     true_alpha_lt)
+                     conditional_channels, downlink_observation, large_n_observation,
+                     precoder_weights, true_alpha_lt)
 from .analysis import (SeparabilityPrediction, distance_cdf, distance_pdf,
                        expected_overlap_area, overlap_area,
                        separability_prediction)
 from .bench import BenchResult, run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
-from .channel import (complex_noise, correlate_uplink,
-                      draw_channels, pilot_activity, received_energy,
+from .channel import (complex_noise, correlate_uplink, draw_channels,
+                      draw_uplink, pilot_activity, received_energy,
                       select_pilots)
 from .contention import (PROTOCOLS, AttemptOutcome, CampaignResult,
                          run_access_campaign, run_attempt,

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .channel import complex_noise, received_energy
+from .channel import complex_noise, correlate_uplink, draw_channels, received_energy
 from .scenario import ScenarioConfig
 
 
@@ -25,12 +25,6 @@ class ServingSets:
     mask: np.ndarray    # (..., T, L) bool, mask[..., t, l] iff AP l serves pilot t
     order: np.ndarray   # (..., T, L) APs by descending activity, ties to the lower index
     size: np.ndarray    # (..., T) serving APs per pilot: the first ``size`` of ``order``
-
-    @cached_property
-    def p_t(self) -> list:
-        """Per pilot (leading axes flattened): serving APs by descending activity."""
-        rows = self.order.reshape(-1, self.order.shape[-1])
-        return [row[:n] for row, n in zip(rows, self.size.ravel().tolist())]
 
     @cached_property
     def operative_aps(self) -> np.ndarray:
@@ -106,17 +100,72 @@ def true_alpha_lt(beta_active: np.ndarray, pilots: np.ndarray,
     return alpha
 
 
-def downlink_observation(y: np.ndarray, serving: ServingSets, h: np.ndarray,
-                         beta_active: np.ndarray, pilots: np.ndarray,
+def _at_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Per-(pilot, AP) ``values`` (..., T, L) at each pilot's slots (..., T, J);
+    ``values`` may omit the leading axes of ``slots``."""
+    shape = slots.shape[:-1] + values.shape[-1:]
+    return np.take_along_axis(np.broadcast_to(values, shape), slots, axis=-1)
+
+
+def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarray,
+                         pilots: np.ndarray, config: ScenarioConfig,
+                         rng: np.random.Generator) -> np.ndarray:
+    """Each UE's channel at the serving slots of its pilot, drawn given the uplink.
+
+    ``y_norm`` (..., J, T, 1) holds ||y_lt|| at slot j of pilot t, ``beta_at``
+    (..., K, J) and ``v_at`` (..., K, J) the gain beta_kl and the uplink
+    variance v_lt at UE k's slot j. Returns h_p of shape (..., K, J, 1), the
+    component u^H h_kl of the channel along u = y_lt / ||y_lt||: the downlink
+    reads a channel only through h_kl^H y_lt = ||y_lt|| conj(h_p), so h_p in
+    place of h_kl and ||y_lt|| in place of y_lt give the same observation.
+
+    Derivation. Given the gains, h_kl ~ CN(0, beta_kl I_N) independently and
+    y_lt = a sum_{k on t} h_kl + n_lt with a = sqrt(p tau_p), n_lt ~ CN(0, sigma^2 I_N).
+    So y_lt ~ CN(0, v_lt I_N) with v_lt = a^2 sum_{k on t} beta_kl + sigma^2,
+    independent over (l, t), which is how :func:`cfra.channel.draw_uplink`
+    draws it. Given y_lt, the channels of pilot t at AP l are jointly Gaussian
+    with mean (a beta_kl / v_lt) y_lt and covariance
+    (beta_kl [k = j] - a^2 beta_kl beta_jl / v_lt) I_N, so their components
+    along u are jointly CN((a beta_kl / v_lt) ||y_lt||, beta_kl [k = j] -
+    a^2 beta_kl beta_jl / v_lt): the law of one-antenna channels given a
+    one-antenna observation equal to ||y_lt||. Matheron's rule draws it
+    exactly: draw a prior one-antenna pair (h0, y0) with
+    :func:`cfra.channel.draw_channels` and :func:`cfra.channel.correlate_uplink`,
+    then h_p = h0 + (a beta_kl / v_lt) (||y_lt|| - y0_lt). Distinct (l, t)
+    are independent given the gains, so all slots are drawn in one call.
+
+    Drawing only after the serving sets are chosen keeps the law exact: the
+    serving sets, ``cpu_alpha_hat`` and the precoder weights are functions of
+    y alone (of ||y_lt||^2), so conditioning on y conditions on them too, and
+    the channels given y do not depend on which slots were selected.
+
+    References: J. T. Wilson et al., "Efficiently Sampling Functions from
+    Gaussian Process Posteriors", ICML 2020; A. Doucet, "A note on efficient
+    conditional simulation of Gaussian distributions", 2010.
+    """
+    amp = np.sqrt(config.ul_power_mw * config.num_pilots)
+    h = draw_channels(beta_at, 1, rng)                                   # (..., K, J, 1)
+    y0 = correlate_uplink(h, pilots, config, rng)                        # (..., J, T, 1)
+    residual = np.swapaxes(y_norm[..., pilots, 0] - y0[..., pilots, 0], -1, -2)
+    h[..., 0] += (amp * beta_at / v_at) * residual
+    return h
+
+
+def downlink_observation(y: np.ndarray, serving: ServingSets, beta_active: np.ndarray,
+                         alpha_lt: np.ndarray, pilots: np.ndarray,
                          config: ScenarioConfig, rng: np.random.Generator,
                          precoding_kind: str = "standard",
                          cpu_alpha_hat: np.ndarray | None = None) -> DownlinkObservation:
     """Correlated scalar z_k at every transmitting UE, shape (..., K).
 
-    ``h`` is (..., K, L, N) and ``y``, ``serving`` and ``cpu_alpha_hat`` carry
-    the same leading axes. Normalized precoding (see :func:`precoder_weights`)
-    is required when the UEs apply the compensation-factor estimator;
-    ``cpu_alpha_hat`` must be given exactly in that case.
+    ``y`` is the uplink (..., L, T, N) drawn under the gains ``beta_active``
+    (K, L), whose per-(pilot, AP) signal power ``alpha_lt`` (T, L) is given by
+    :func:`true_alpha_lt`; ``serving`` and ``cpu_alpha_hat`` carry the leading
+    axes of ``y``. The channels are drawn here, at each pilot's serving slots
+    only and conditioned on y (:func:`conditional_channels`). Normalized
+    precoding (see :func:`precoder_weights`) is required when the UEs apply
+    the compensation-factor estimator; ``cpu_alpha_hat`` must be given
+    exactly in that case.
     """
     if precoding_kind not in ("standard", "normalized"):
         raise ValueError(f"unknown precoding kind {precoding_kind!r}")
@@ -125,8 +174,14 @@ def downlink_observation(y: np.ndarray, serving: ServingSets, h: np.ndarray,
 
     scale, q_eff = precoder_weights(y, serving.mask, config.dl_power_per_ap_mw,
                                     config.num_pilots, cpu_alpha_hat)
-    eta = complex_noise(h.shape[:-2], config.noise_mw, rng)
-    z = kernels.observe_downlink(h, y, pilots, scale, eta)
+    # slot j of pilot t is its j-th strongest AP; slots past size[t] carry scale 0
+    slots = serving.order[..., :int(serving.size[..., pilots].max(initial=0))]  # (..., T, J)
+    y_norm = np.swapaxes(np.sqrt(_at_slots(received_energy(y), slots)), -1, -2)[..., None]
+    beta_at = beta_active[np.arange(pilots.size)[:, None], slots[..., pilots, :]]  # (..., K, J)
+    v_at = _at_slots(alpha_lt + config.noise_mw, slots)[..., pilots, :]
+    h = conditional_channels(y_norm, beta_at, v_at, pilots, config, rng)
+    eta = complex_noise(beta_at.shape[:-1], config.noise_mw, rng)
+    z = kernels.observe_downlink(h, y_norm, pilots, _at_slots(scale, slots), eta)
 
     served = serving.mask.any(axis=-1)[..., pilots]
     return DownlinkObservation(

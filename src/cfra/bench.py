@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
-from .channel import complex_noise, draw_channels, pilot_activity
+from .channel import draw_uplink, pilot_activity
 from .estimators import cpu_alpha_hat, estimate, knowledge_for
-from .kernels import accumulate_uplink
 from .scenario import ScenarioConfig, build_topology
 
 
@@ -46,7 +45,6 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
     n_ant = phy.antennas_per_ap
     normalized = kind == "est3"
     pilots = np.zeros(collision_size, dtype=int)          # every UE on pilot 0
-    amp = np.sqrt(config.ul_power_mw * config.num_pilots)
 
     nmse_out = np.empty((num_setups, collision_size))
     neb_out = np.empty((num_setups, collision_size))
@@ -58,20 +56,19 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
         nearby = np.argsort(-beta, axis=1, kind="stable")[:, :nearby_size]
         beta_nearby = np.take_along_axis(beta, nearby, axis=1)             # (S, C)
 
-        h = draw_channels(np.broadcast_to(beta, (num_realizations,) + beta.shape),
-                          n_ant, rng)                                       # (R, S, L, N)
-        noise = complex_noise((num_realizations, phy.num_aps, 1, n_ant), config.noise_mw, rng)
-        y = accumulate_uplink(h, pilots, amp, noise)                        # (R, L, 1, N)
+        alpha_lt = true_alpha_lt(beta, pilots, config)[:1]                 # (1, L)
+        y = draw_uplink(np.broadcast_to(alpha_lt, (num_realizations, 1, phy.num_aps)),
+                        n_ant, config.noise_mw, rng)                        # (R, L, 1, N)
         activity = pilot_activity(y)                                        # (R, 1, L)
         serving = build_serving_sets(activity, l_max, config.noise_mw)
         obs = downlink_observation(
-            y, serving, h, beta, pilots, phy, rng,
+            y, serving, beta, alpha_lt, pilots, phy, rng,
             precoding_kind="normalized" if normalized else "standard",
             cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
 
         est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config, delta)
         mask = serving.mask[:, 0]                                           # (R, L)
-        alpha_t = mask @ true_alpha_lt(beta, pilots, config)[0]             # (R,)
+        alpha_t = mask @ alpha_lt[0]                                        # (R,)
 
         ratio = (est - alpha_t[:, None]) / alpha_t[:, None]
         nmse_out[s] = (ratio ** 2).mean(axis=0)

@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .access import build_serving_sets, precoder_weights
-from .channel import (complex_noise, correlate_uplink, draw_channels, pilot_activity,
-                      select_pilots)
+from .access import build_serving_sets, precoder_weights, true_alpha_lt
+from .channel import draw_uplink, pilot_activity, select_pilots
 from .estimators import cpu_alpha_hat
-from .kernels import accumulate_uplink
 from .scenario import ScenarioConfig, build_topology
 
 
@@ -54,10 +52,10 @@ def train_lmax(training: TrainingConfig, rng: np.random.Generator,
         if active.size == 0:
             continue
         pilots = select_pilots(active.size, config.num_pilots, rng)
-        beta = topology.gains(active)
-        h = draw_channels(np.broadcast_to(beta, (training.repetitions,) + beta.shape),
-                          config.antennas_per_ap, rng)
-        avg = pilot_activity(correlate_uplink(h, pilots, config, rng)).mean(axis=0)  # (T, L)
+        alpha_lt = true_alpha_lt(topology.gains(active), pilots, config)
+        y = draw_uplink(np.broadcast_to(alpha_lt, (training.repetitions,) + alpha_lt.shape),
+                        config.antennas_per_ap, config.noise_mw, rng)
+        avg = pilot_activity(y).mean(axis=0)                                         # (T, L)
         counts = []
         for t in np.unique(pilots):
             row = avg[t]
@@ -81,14 +79,14 @@ def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator
     """
     sizes = list(collision_sizes)
     per_size = max(1, draws // len(sizes))
-    n_ant = config.antennas_per_ap
-    amp = np.sqrt(config.ul_power_mw * config.num_pilots)
+    p_tau = config.ul_power_mw * config.num_pilots
     q_values = []
     for size in sizes:
         topo = build_topology(config, rng, num_ues=per_size * size)
-        h = draw_channels(topo.beta.reshape(per_size, size, config.num_aps), n_ant, rng)
-        noise = complex_noise((per_size, config.num_aps, 1, n_ant), config.noise_mw, rng)
-        y = accumulate_uplink(h, np.zeros(size, dtype=int), amp, noise)   # (D, L, 1, N)
+        # every draw's UEs share one pilot: its signal power sums their gains
+        alpha = p_tau * topo.beta.reshape(per_size, size, config.num_aps).sum(axis=1)
+        y = draw_uplink(alpha[:, None, :], config.antennas_per_ap, config.noise_mw,
+                        rng)                                              # (D, L, 1, N)
         activity = pilot_activity(y)                                      # (D, 1, L)
         serving = build_serving_sets(activity, l_max, config.noise_mw)
         _, q_eff = precoder_weights(y, serving.mask, config.dl_power_per_ap_mw,

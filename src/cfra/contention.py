@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
-from .channel import correlate_uplink, draw_channels, pilot_activity, select_pilots
+from .channel import draw_uplink, pilot_activity, select_pilots
 from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, greedy_flexible_decide,
                          knowledge_for)
 from .scenario import ScenarioConfig, Topology, build_topology, natural_sets
@@ -79,15 +79,15 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     active = np.asarray(list(active_ues), dtype=int)
     beta_act = topology.gains(active)                   # (K, L)
     pilots = select_pilots(active.size, config.num_pilots, rng)
-    h = draw_channels(beta_act, config.antennas_per_ap, rng)
-    y = correlate_uplink(h, pilots, config, rng)
+    alpha_lt = true_alpha_lt(beta_act, pilots, config)  # (T, L)
+    y = draw_uplink(alpha_lt, config.antennas_per_ap, config.noise_mw, rng)
     activity = pilot_activity(y)
 
     l_max = config.num_aps if protocol == "bcf" else config.l_max
     serving = build_serving_sets(activity, l_max, config.noise_mw)
     served = serving.mask.any(axis=1)[pilots]
     order, size = natural_sets(beta_act, config)
-    alpha_true = np.where(serving.mask, true_alpha_lt(beta_act, pilots, config), 0.0).sum(axis=1)
+    alpha_true = np.where(serving.mask, alpha_lt, 0.0).sum(axis=1)
     used = np.zeros(config.num_pilots, dtype=bool)
     used[pilots] = True
     served_active = (serving.mask & used[:, None]).sum(axis=0)[serving.operative_aps]
@@ -100,7 +100,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
         # precoded response, then the distributed decision
         normalized = spec.kind == "est3"
         obs = downlink_observation(
-            y, serving, h, beta_act, pilots, config, rng,
+            y, serving, beta_act, alpha_lt, pilots, config, rng,
             precoding_kind="normalized" if normalized else "standard",
             cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
         if normalized:
@@ -151,6 +151,16 @@ class CampaignResult:
 MAX_CAMPAIGN_BLOCKS = 500
 
 
+def _activate(idle: np.ndarray, probability: float, rng: np.random.Generator) -> np.ndarray:
+    """The idle UEs that activate, each independently with ``probability``.
+
+    Drawn as a Binomial(|idle|, p) count and then a uniform subset of that
+    size, which has the same law as one coin per UE and costs O(new UEs).
+    """
+    count = rng.binomial(idle.size, probability)
+    return idle[rng.choice(idle.size, count, replace=False, shuffle=False)]
+
+
 def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConfig,
                         rng: np.random.Generator,
                         topology: Topology | None = None) -> CampaignResult:
@@ -170,8 +180,7 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
     in_progress = np.zeros(n_ues, dtype=bool)
     ever_active = np.zeros(n_ues, dtype=bool)
 
-    cohort_mask = rng.random(n_ues) < config.access_probability
-    cohort = np.flatnonzero(cohort_mask)
+    cohort = np.sort(_activate(np.arange(n_ues), config.access_probability, rng))
     in_progress[cohort] = True
     ever_active[cohort] = True
 
@@ -186,10 +195,9 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
         if cohort.size == 0:
             break
         if block > 0:
-            idle = ~ever_active
-            newly = idle & (rng.random(n_ues) < config.access_probability)
-            in_progress |= newly
-            ever_active |= newly
+            newly = _activate(np.flatnonzero(~ever_active), config.access_probability, rng)
+            in_progress[newly] = True
+            ever_active[newly] = True
 
         candidates = np.flatnonzero(in_progress)
         first_timers = attempts[candidates] == 0

@@ -2,8 +2,9 @@
 
 Both consume pre-drawn random arrays, so their results depend only on the
 inputs, and both take any number of leading axes (realizations, draws): a
-stacked call equals the per-slice calls bit for bit. The campaigns, the
-estimator bench and the calibration all run these two functions.
+stacked call equals the per-slice calls bit for bit. The campaigns and the
+estimator bench run both at one antenna, on the channel components along
+the uplink (see :func:`cfra.access.conditional_channels`).
 """
 
 from __future__ import annotations

@@ -13,10 +13,10 @@ import pytest
 from scipy.integrate import quad
 
 from cfra.analysis import distance_cdf, distance_pdf, separability_prediction
-from cfra.access import build_serving_sets, downlink_observation
+from cfra.access import build_serving_sets, downlink_observation, true_alpha_lt
 from cfra.bench import run_estimator_bench
 from cfra.calibration import calibrate_delta
-from cfra.channel import correlate_uplink, draw_channels, pilot_activity
+from cfra.channel import draw_uplink, pilot_activity
 from cfra.contention import run_access_campaign, run_attempt
 from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate_1, estimate_2,
                              estimate_2_per_ap, estimate_cellular, knowledge_for)
@@ -240,12 +240,12 @@ def test_criterion_12_property_suites():
         rng = np.random.default_rng(121)
         topo = build_topology(cfg, rng, num_ues=4)
         pilots = np.array([0, 0, 1, 2])
+        alpha_lt = true_alpha_lt(topo.beta, pilots, cfg)
         rel = []
         for _ in range(200):
-            h = draw_channels(topo.beta, n_ant, rng)
-            y = correlate_uplink(h, pilots, cfg, rng)
+            y = draw_uplink(alpha_lt, n_ant, cfg.noise_mw, rng)
             serving = build_serving_sets(pilot_activity(y), cfg.l_max, cfg.noise_mw)
-            obs = downlink_observation(y, serving, h, topo.beta, pilots, cfg, rng)
+            obs = downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng)
             sel = obs.served & (obs.z_tilde > 0)
             rel.append(np.abs(obs.z[sel].real / np.sqrt(n_ant) - obs.z_tilde[sel])
                        / obs.z_tilde[sel])

@@ -1,10 +1,11 @@
 """Fixed-seed outputs of the estimator bench, δ calibration and l_max training.
 
-The values were recorded before the offline procedures were moved onto the
-campaign's physical layer; they must be reproduced exactly. est2's estimate
-now sums the per-AP split of ``estimators.estimate_2`` instead of a
-factored form, which rounds differently, so its NMSE and NEB are compared
-at rtol 1e-12.
+The values were recorded with the sampler that draws the uplink from its
+marginal law and the channels only at the serving APs, given the uplink;
+they must be reproduced exactly. est2's estimate sums the per-AP split of
+``estimators.estimate_2`` instead of a factored form, which rounds
+differently from the values' first recording, so its NMSE and NEB are
+compared at rtol 1e-12.
 """
 
 import numpy as np
@@ -18,30 +19,30 @@ from cfra.scenario import ScenarioConfig
 # (kind, collision size) -> (nmse, neb, nmd); 2 setups x 16 realizations, seed 11
 PINNED_BENCH = {
     ("est1", 1): (
-        [1.3933387054537506e-06, 7.13221241747156e-07],
-        [0.0010904024325527506, 0.00039314701788774136],
-        [-0.001090606082301129, -0.000393704315628469],
+        [1.3305661272630597e-06, 4.9433358172204754e-06],
+        [0.0010791218242786308, 0.0005512442872839695],
+        [-0.0010792873601054083, -0.0005558403445021632],
     ),
     ("est1", 3): (
-        [0.4068914191567328, 0.34400663756410527, 0.0746636071315505, 3.0620155328298777,
-         0.43541517182157996, 0.34317480314259285],
-        [-0.6127568632552636, -0.5749248523649947, -0.13340628275397226, 0.44424362922008925,
-         -0.146927208424576, -0.5595840759901559],
-        [-2.2781703914091445, -0.1404488934777845, -0.059741406463734006, -0.6622540329031187,
-         -0.10916174492106218, -0.15843576747439325],
+        [66447063.581480935, 0.34925353904020284, 0.0904427368304419, 0.5873268641078043,
+         0.08886326343952626, 0.4681789555359471],
+        [2027.5136069551959, -0.5658202603207639, -0.10617012579374999, -0.7619656031567079,
+         -0.13440655325253215, -0.6843475199637244],
+        [-39.87580169474454, -0.1328234422687275, -0.06800605191402669, -0.07274120785696724,
+         -0.11749941523297988, -0.3272201269781919],
     ),
     ("est2", 1): (
-        [0.00132555095668994, 5.0597247873868055e-05],
-        [-0.036405165254085804, -0.0070178770577635045],
-        [0.03640492406719384, 0.007174882267532584],
+        [0.00132555095668994, 0.001035989134916281],
+        [-0.036405165254085804, 0.004560411091324582],
+        [0.03640492406719384, 0.00362441524266186],
     ),
     ("est2", 3): (
-        [0.5879949294616679, 0.2161346390388403, 0.19703290373895316, 0.21091584725559945,
-         0.23257294543997062, 0.06886993258684117],
-        [-0.7627509944293747, -0.35844785708168847, 0.10507111275606239, -0.37849004711048106,
-         0.11786759779228057, -0.17762365885325995],
-        [-0.1765849632851079, -0.09603632480263335, -0.04264725121231275, -0.03179465694851592,
-         -0.039423218404485615, -0.11700905628825688],
+        [0.547967665963177, 0.2569519482193681, 0.2025033841168803, 0.9616886380020965,
+         0.9891497991226325, 0.08914763967745669],
+        [-0.7361216992757369, -0.39797626614423764, 0.13514820018077037, -0.9806471018913446,
+         -0.9945585739271781, 0.1734355488508659],
+        [-0.22755159239628264, -0.08069173778511984, -0.04265921764921553, -0.01924065276813759,
+         -0.056160105871631255, -0.00012481061643395967],
     ),
     ("est3", 1): (
         [0.016325139676883527, 0.0],
@@ -49,23 +50,23 @@ PINNED_BENCH = {
         [-0.07382901826608491, 0.0],
     ),
     ("est3", 3): (
-        [0.5387918515231304, 0.46880562315865837, 0.08077721428866924, 0.46430264166670143,
-         0.19169173703172307, 0.34730281056808565],
-        [-0.6899130458111722, -0.6846988381744327, -0.2842094785328365, -0.6348709275141111,
-         -0.4379611734240243, -0.5895260201022166],
-        [-2.3659944521047733, -0.1500266416744186, -0.0638154601510623, -0.7093765480624866,
-         -0.128795927838366, -0.19138320057909652],
+        [3.583505354534606e+29, 0.46836414093005474, 0.08036400289231857, 0.674383120855778,
+         0.10687782185412323, 0.4561851158699071],
+        [148942728187744.5, -0.6843777014977024, -0.28348044033973846, -0.8212825394886701,
+         -0.3268854505564148, -0.6755277934212027],
+        [-40.970887813034636, -0.14233715019842483, -0.0721118780781742, -0.09479645339518619,
+         -0.12883613011713446, -0.364304323434793],
     ),
     ("cellular", 1): (
-        [0.012441285399449767, 0.010847725563385813],
-        [0.06491027755680459, 0.04909781676147973],
+        [0.022222344772707174, 0.008353604878343527],
+        [0.08548346836883258, 0.056154575020064754],
         [0.0, 0.0],
     ),
     ("cellular", 3): (
-        [0.037675487953831674, 0.18742446227180515, 1.5734418556521506, 0.48007022457352216,
-         0.15067959232927777, 0.32201110044745856],
-        [-0.051708193238292906, 0.12466336591866792, 0.5152641825385205, 0.25594185438116934,
-         0.0783305381717002, 0.20451817227101596],
+        [0.08054267529546538, 0.34766550892611237, 0.8573661138865593, 0.013768817309896379,
+         4.901064632439017e+26, 2.7820089042247065],
+        [0.08984575275023056, 0.096856242723014, 0.5776295017197931, 0.0566422015438275,
+         5534587062549.746, 0.403829567508232],
         [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     ),
 }
@@ -73,10 +74,10 @@ PINNED_BENCH = {
 ROUNDED = {("est2", "nmse"), ("est2", "neb")}
 
 # l_max -> (delta, q_avg); 200 draws, seed 12
-PINNED_DELTA = {64: (7.974430820069108, 0.04914175157138831),
-                8: (2.8894311385315725, 0.37430473773910977)}
+PINNED_DELTA = {64: (7.9762579909645, 0.04911923973842049),
+                8: (2.8983301210164307, 0.3720097488665873)}
 # 5 rounds x 20 repetitions at |U| = 2000, p = 0.01, seed 13
-PINNED_LMAX = (5, [5.2, 4.2, 3.6, 3.8, 4.6])
+PINNED_LMAX = (4, [5.0, 3.4, 4.6, 2.8, 3.2])
 
 
 @pytest.mark.parametrize("kind, size", sorted(PINNED_BENCH))

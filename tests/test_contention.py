@@ -180,6 +180,24 @@ def test_bcf_admitted_subset_of_colliders():
     assert out.active_pilots == np.unique(out.pilots).size
 
 
+def test_activations_follow_one_coin_per_ue():
+    """A binomial count and a uniform subset: every idle UE activates with
+    probability p, and the count has the binomial mean and variance."""
+    rng = np.random.default_rng(14)
+    idle = np.arange(3, 43)
+    p = 0.2
+    hits = np.zeros(idle.size)
+    counts = []
+    for _ in range(20_000):
+        new = contention._activate(idle, p, rng)
+        assert np.unique(new).size == new.size and np.isin(new, idle).all()
+        hits[new - 3] += 1
+        counts.append(new.size)
+    assert np.abs(hits / 20_000 - p).max() < 0.015          # 5 standard errors
+    assert np.mean(counts) == pytest.approx(idle.size * p, rel=0.01)
+    assert np.var(counts) == pytest.approx(idle.size * p * (1 - p), rel=0.05)
+
+
 def test_campaign_attempt_bound_and_flags():
     cfg = ScenarioConfig(num_inactive_ues=300)
     rng = np.random.default_rng(6)
@@ -212,17 +230,24 @@ def test_campaign_computes_gains_only_for_transmitters(monkeypatch):
     rng = np.random.default_rng(9)
     topo = build_topology(cfg, rng)
     transmitted: set = set()
+    filled: list = []
+    fill = Topology._fill
 
     def spy(protocol, spec, topology, active_ues, config, rng):
         transmitted.update(int(k) for k in active_ues)
         return run_attempt(protocol, spec, topology, active_ues, config, rng)
 
+    def fill_spy(self, new):
+        filled.extend(new.tolist())
+        fill(self, new)
+
     monkeypatch.setattr(contention, "run_attempt", spy)
+    monkeypatch.setattr(Topology, "_fill", fill_spy)
     run_access_campaign("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"),
                         cfg, rng, topology=topo)
-    assert transmitted
+    assert transmitted and len(transmitted) < cfg.num_inactive_ues
+    assert sorted(filled) == sorted(transmitted)
     assert topo.computed_rows == len(transmitted)
-    assert topo.computed_rows < cfg.num_inactive_ues // 10
 
 
 def test_ce_sucre_gains_only_for_active_ues(monkeypatch):
@@ -246,31 +271,32 @@ def test_ce_sucre_gains_only_for_active_ues(monkeypatch):
 
 
 # attempts and ANAA of one small campaign per configuration (seed 7), recorded
-# with the eager gain table; the lazy rows must reproduce them exactly
+# with the uplink drawn from its marginal law and binomial activations
 PINNED_CAMPAIGNS = [
-    ("bcf", EstimatorSpec(), 1.08,
-     [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1]),
-    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"), 1.56,
-     [1, 1, 4, 1, 1, 3, 2, 1, 1, 1, 2, 1, 1, 1, 1, 2, 3, 1, 2, 2, 1, 1, 1, 3, 1]),
-    ("cf-sucre", EstimatorSpec(kind="est3"), 2.44,
-     [1, 1, 10, 4, 1, 2, 2, 1, 1, 4, 6, 1, 1, 1, 1, 3, 7, 1, 3, 1, 2, 1, 1, 2, 3]),
-    ("ce-sucre", EstimatorSpec(kind="cellular"), 8.36,
-     [3, 1, 10, 10, 1, 10, 10, 1, 10, 10, 10, 10, 3, 10, 10, 10, 10, 10, 10, 10,
-      10, 10, 10, 10, 10]),
+    ("bcf", EstimatorSpec(), 1.0416666666666667,
+     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
+    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"), 1.1666666666666667,
+     [1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2]),
+    ("cf-sucre", EstimatorSpec(kind="est3"), 1.5,
+     [1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 2, 1, 1, 6, 1, 1, 2, 4, 1, 1, 1, 1, 1, 1]),
+    ("ce-sucre", EstimatorSpec(kind="cellular"), 8.583333333333334,
+     [10, 1, 10, 10, 3, 10, 10, 10, 1, 10, 10, 10, 10, 10, 1, 10, 10, 10, 10, 10,
+      10, 10, 10, 10]),
 ]
 # the same campaigns' tau_bar_pl, tau_bar, l_bar and q_eff_mw; under ce-sucre
 # the BS serving mask must give one operative AP serving every active pilot
 PINNED_MEANS = {
-    ("bcf", EstimatorSpec()): [4.989583333333333, 5.0, 64.0, float("nan")],
+    ("bcf", EstimatorSpec()): [5.0, 5.0, 64.0, float("nan")],
     ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy")):
-        [1.334259443637983, 4.909090909090909, 36.81818181818182, 3.125],
+        [1.346153080608705, 4.888888888888889, 36.44444444444444, 3.125],
     ("cf-sucre", EstimatorSpec(kind="est3")):
-        [1.3741777049936967, 5.0, 36.63157894736842, 0.29200929165908146],
+        [1.4141420200418502, 5.0, 35.5, 0.294656367999242],
     ("ce-sucre", EstimatorSpec(kind="cellular")): [5.0, 5.0, 1.0, 200.0],
 }
 
 
-@pytest.mark.parametrize("protocol, spec, anaa, attempts", PINNED_CAMPAIGNS)
+@pytest.mark.parametrize("protocol, spec, anaa, attempts", PINNED_CAMPAIGNS,
+                         ids=["bcf", "cf-sucre-est2-greedy", "cf-sucre-est3", "ce-sucre-cellular"])
 def test_campaign_pinned_at_fixed_seed(protocol, spec, anaa, attempts):
     cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
     res = run_access_campaign(protocol, spec, cfg, np.random.default_rng(7))
