@@ -17,18 +17,17 @@ from .analysis import (SeparabilityPrediction, distance_cdf, distance_pdf,
                        separability_prediction)
 from .bench import BenchResult, run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
-from .channel import (complex_noise, correlate_uplink, draw_channels,
-                      draw_uplink, pilot_activity, received_energy,
-                      select_pilots)
+from .channel import (activate, complex_noise, correlate_uplink, draw_channels,
+                      pilot_activity, select_pilots)
 from .contention import (PROTOCOLS, AttemptOutcome, CampaignResult,
                          run_access_campaign, run_attempt,
-                         spatial_separability_admit, sucre_decision)
+                         spatial_separability_admit)
 from .estimators import (BEST_PAIRS, CF_ESTIMATORS, ESTIMATOR_KINDS,
                          NEARBY_METHODS, EstimatorSpec, UEKnowledge,
                          best_pair, cpu_alpha_hat, estimate, estimate_1, estimate_2,
                          estimate_2_per_ap, estimate_3, estimate_cellular,
                          greedy_flexible_decide, knowledge_for,
-                         preprocess_est3)
+                         preprocess_est3, sucre_decision)
 from .metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
                       write_reports)
 from .scenario import (NearbySet, ScenarioConfig, Topology, ap_grid,

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels
-from .channel import complex_noise, correlate_uplink, draw_channels, received_energy
+from .channel import complex_noise, correlate_uplink, draw_channels
 from .scenario import ScenarioConfig
 
 
@@ -50,26 +50,29 @@ def build_serving_sets(activity: np.ndarray, l_max: int, noise_mw: float) -> Ser
     return ServingSets(mask=mask, order=order, size=size)
 
 
-def precoder_weights(y: np.ndarray, serving_mask: np.ndarray, dl_power_mw: float,
-                     num_pilots: int, cpu_alpha_hat: np.ndarray | None = None):
+def precoder_weights(activity: np.ndarray, serving_mask: np.ndarray, config: ScenarioConfig,
+                     cpu_alpha_hat: np.ndarray | None = None):
     """Precoder scale and effective downlink power per (pilot, AP), each (..., T, L).
 
     Standard precoding (``cpu_alpha_hat`` is None) points each serving AP's
     unit-norm beam along its received uplink signature y_lt: the scale is
-    sqrt(q tau_p) / ||y_lt|| and the power is q. Normalized precoding divides
-    by sqrt(N alpha_hat_t) instead, which spends q ||y_lt||^2 / (N alpha_hat_t).
-    Non-serving entries, and pilots with alpha_hat_t = 0, get 0.
+    sqrt(q tau_p) / ||y_lt||, with ||y_lt||^2 = N A_lt read off the activity
+    matrix, and the power is q. Normalized precoding divides by
+    sqrt(N alpha_hat_t) instead, which spends q ||y_lt||^2 / (N alpha_hat_t)
+    = q A_lt / alpha_hat_t. Non-serving entries, and pilots with
+    alpha_hat_t = 0, get 0.
     """
-    energy = received_energy(y)
-    amplitude = np.sqrt(dl_power_mw * num_pilots)
+    q, n = config.dl_power_per_ap_mw, config.antennas_per_ap
+    amplitude = np.sqrt(q * config.num_pilots)
     with np.errstate(divide="ignore", invalid="ignore"):
         if cpu_alpha_hat is None:
-            scale = np.where(serving_mask & (energy > 0), amplitude / np.sqrt(energy), 0.0)
-            return scale, np.where(serving_mask, dl_power_mw, 0.0)
-        denom = (y.shape[-1] * cpu_alpha_hat)[..., None]      # (..., T, 1)
-        on = serving_mask & (denom > 0)
-        scale = np.where(on, amplitude / np.sqrt(denom), 0.0)
-        return scale, np.where(on, (dl_power_mw / denom) * energy, 0.0)
+            scale = np.where(serving_mask & (activity > 0),
+                             amplitude / np.sqrt(n * activity), 0.0)
+            return scale, np.where(serving_mask, q, 0.0)
+        alpha_hat = cpu_alpha_hat[..., None]                  # (..., T, 1)
+        on = serving_mask & (alpha_hat > 0)
+        scale = np.where(on, amplitude / np.sqrt(n * alpha_hat), 0.0)
+        return scale, np.where(on, (q / alpha_hat) * activity, 0.0)
 
 
 @dataclass
@@ -122,9 +125,10 @@ def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarr
     Derivation. Given the gains, h_kl ~ CN(0, beta_kl I_N) independently and
     y_lt = a sum_{k on t} h_kl + n_lt with a = sqrt(p tau_p), n_lt ~ CN(0, sigma^2 I_N).
     So y_lt ~ CN(0, v_lt I_N) with v_lt = a^2 sum_{k on t} beta_kl + sigma^2,
-    independent over (l, t), which is how :func:`cfra.channel.draw_uplink`
-    draws it. Given y_lt, the channels of pilot t at AP l are jointly Gaussian
-    with mean (a beta_kl / v_lt) y_lt and covariance
+    independent over (l, t), so ||y_lt||^2 is v_lt times a Gamma(N, 1)
+    variable: :func:`cfra.channel.pilot_activity` draws it, divided by N.
+    Given y_lt, the channels of pilot t at AP l are jointly Gaussian with
+    mean (a beta_kl / v_lt) y_lt and covariance
     (beta_kl [k = j] - a^2 beta_kl beta_jl / v_lt) I_N, so their components
     along u are jointly CN((a beta_kl / v_lt) ||y_lt||, beta_kl [k = j] -
     a^2 beta_kl beta_jl / v_lt): the law of one-antenna channels given a
@@ -134,10 +138,13 @@ def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarr
     then h_p = h0 + (a beta_kl / v_lt) (||y_lt|| - y0_lt). Distinct (l, t)
     are independent given the gains, so all slots are drawn in one call.
 
-    Drawing only after the serving sets are chosen keeps the law exact: the
-    serving sets, ``cpu_alpha_hat`` and the precoder weights are functions of
-    y alone (of ||y_lt||^2), so conditioning on y conditions on them too, and
-    the channels given y do not depend on which slots were selected.
+    The law of h_p given y reads y only through ||y_lt||, so drawing ||y_lt||
+    first and h_p given it is exact, and the direction of y is never drawn.
+    Drawing only after the serving sets are chosen keeps the law exact too:
+    the serving sets, ``cpu_alpha_hat`` and the precoder weights are
+    functions of ||y_lt||^2 alone, so conditioning on ||y_lt|| conditions on
+    them, and the channels given ||y_lt|| do not depend on which slots were
+    selected.
 
     References: J. T. Wilson et al., "Efficiently Sampling Functions from
     Gaussian Process Posteriors", ICML 2020; A. Doucet, "A note on efficient
@@ -151,32 +158,33 @@ def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarr
     return h
 
 
-def downlink_observation(y: np.ndarray, serving: ServingSets, beta_active: np.ndarray,
+def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active: np.ndarray,
                          alpha_lt: np.ndarray, pilots: np.ndarray,
                          config: ScenarioConfig, rng: np.random.Generator,
                          precoding_kind: str = "standard",
                          cpu_alpha_hat: np.ndarray | None = None) -> DownlinkObservation:
     """Correlated scalar z_k at every transmitting UE, shape (..., K).
 
-    ``y`` is the uplink (..., L, T, N) drawn under the gains ``beta_active``
-    (K, L), whose per-(pilot, AP) signal power ``alpha_lt`` (T, L) is given by
-    :func:`true_alpha_lt`; ``serving`` and ``cpu_alpha_hat`` carry the leading
-    axes of ``y``. The channels are drawn here, at each pilot's serving slots
-    only and conditioned on y (:func:`conditional_channels`). Normalized
-    precoding (see :func:`precoder_weights`) is required when the UEs apply
-    the compensation-factor estimator; ``cpu_alpha_hat`` must be given
-    exactly in that case.
+    ``activity`` is the activity matrix A_lt = ||y_lt||^2 / N (..., T, L)
+    drawn under the gains ``beta_active`` (K, L), whose per-(pilot, AP)
+    signal power ``alpha_lt`` (T, L) is given by :func:`true_alpha_lt`;
+    ``serving`` and ``cpu_alpha_hat`` carry the leading axes of ``activity``.
+    The channels are drawn here, at each pilot's serving slots only and
+    conditioned on ||y_lt|| = sqrt(N A_lt) (:func:`conditional_channels`).
+    Normalized precoding (see :func:`precoder_weights`) is required when the
+    UEs apply the compensation-factor estimator; ``cpu_alpha_hat`` must be
+    given exactly in that case.
     """
     if precoding_kind not in ("standard", "normalized"):
         raise ValueError(f"unknown precoding kind {precoding_kind!r}")
     if (cpu_alpha_hat is None) != (precoding_kind == "standard"):
         raise ValueError("cpu_alpha_hat must be provided iff precoding is normalized")
 
-    scale, q_eff = precoder_weights(y, serving.mask, config.dl_power_per_ap_mw,
-                                    config.num_pilots, cpu_alpha_hat)
+    scale, q_eff = precoder_weights(activity, serving.mask, config, cpu_alpha_hat)
     # slot j of pilot t is its j-th strongest AP; slots past size[t] carry scale 0
     slots = serving.order[..., :int(serving.size[..., pilots].max(initial=0))]  # (..., T, J)
-    y_norm = np.swapaxes(np.sqrt(_at_slots(received_energy(y), slots)), -1, -2)[..., None]
+    energy = config.antennas_per_ap * _at_slots(activity, slots)       # ||y_lt||^2 (..., T, J)
+    y_norm = np.swapaxes(np.sqrt(energy), -1, -2)[..., None]          # (..., J, T, 1)
     beta_at = beta_active[np.arange(pilots.size)[:, None], slots[..., pilots, :]]  # (..., K, J)
     v_at = _at_slots(alpha_lt + config.noise_mw, slots)[..., pilots, :]
     h = conditional_channels(y_norm, beta_at, v_at, pilots, config, rng)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
-from .channel import draw_uplink, pilot_activity
+from .channel import pilot_activity
 from .estimators import cpu_alpha_hat, estimate, knowledge_for
 from .scenario import ScenarioConfig, build_topology
 
@@ -42,7 +42,6 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
     """
     cellular = kind == "cellular"
     phy = config.bs_config if cellular else config
-    n_ant = phy.antennas_per_ap
     normalized = kind == "est3"
     pilots = np.zeros(collision_size, dtype=int)          # every UE on pilot 0
 
@@ -57,12 +56,11 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
         beta_nearby = np.take_along_axis(beta, nearby, axis=1)             # (S, C)
 
         alpha_lt = true_alpha_lt(beta, pilots, config)[:1]                 # (1, L)
-        y = draw_uplink(np.broadcast_to(alpha_lt, (num_realizations, 1, phy.num_aps)),
-                        n_ant, config.noise_mw, rng)                        # (R, L, 1, N)
-        activity = pilot_activity(y)                                        # (R, 1, L)
+        activity = pilot_activity(np.broadcast_to(alpha_lt, (num_realizations, 1, phy.num_aps)),
+                                  phy.antennas_per_ap, config.noise_mw, rng)  # (R, 1, L)
         serving = build_serving_sets(activity, l_max, config.noise_mw)
         obs = downlink_observation(
-            y, serving, beta, alpha_lt, pilots, phy, rng,
+            activity, serving, beta, alpha_lt, pilots, phy, rng,
             precoding_kind="normalized" if normalized else "standard",
             cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
 

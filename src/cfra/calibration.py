@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import build_serving_sets, precoder_weights, true_alpha_lt
-from .channel import draw_uplink, pilot_activity, select_pilots
+from .channel import activate, pilot_activity, select_pilots
 from .estimators import cpu_alpha_hat
 from .scenario import ScenarioConfig, build_topology
 
@@ -48,14 +48,13 @@ def train_lmax(training: TrainingConfig, rng: np.random.Generator,
 
     per_round: list[float] = []
     for _ in range(training.rounds):
-        active = np.flatnonzero(rng.random(n_ues) < config.access_probability)
+        active = activate(np.arange(n_ues), config.access_probability, rng)
         if active.size == 0:
             continue
         pilots = select_pilots(active.size, config.num_pilots, rng)
         alpha_lt = true_alpha_lt(topology.gains(active), pilots, config)
-        y = draw_uplink(np.broadcast_to(alpha_lt, (training.repetitions,) + alpha_lt.shape),
-                        config.antennas_per_ap, config.noise_mw, rng)
-        avg = pilot_activity(y).mean(axis=0)                                         # (T, L)
+        avg = pilot_activity(np.broadcast_to(alpha_lt, (training.repetitions,) + alpha_lt.shape),
+                             config.antennas_per_ap, config.noise_mw, rng).mean(axis=0)  # (T, L)
         counts = []
         for t in np.unique(pilots):
             row = avg[t]
@@ -85,12 +84,10 @@ def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator
         topo = build_topology(config, rng, num_ues=per_size * size)
         # every draw's UEs share one pilot: its signal power sums their gains
         alpha = p_tau * topo.beta.reshape(per_size, size, config.num_aps).sum(axis=1)
-        y = draw_uplink(alpha[:, None, :], config.antennas_per_ap, config.noise_mw,
-                        rng)                                              # (D, L, 1, N)
-        activity = pilot_activity(y)                                      # (D, 1, L)
+        activity = pilot_activity(alpha[:, None, :], config.antennas_per_ap,
+                                  config.noise_mw, rng)                   # (D, 1, L)
         serving = build_serving_sets(activity, l_max, config.noise_mw)
-        _, q_eff = precoder_weights(y, serving.mask, config.dl_power_per_ap_mw,
-                                    config.num_pilots,
+        _, q_eff = precoder_weights(activity, serving.mask, config,
                                     cpu_alpha_hat(activity, config.noise_mw))
         # serving entries draw by draw, strongest first
         ranked = np.take_along_axis(q_eff, serving.order, axis=-1)

@@ -1,14 +1,17 @@
-"""Random channels, pilot choice and uplink pilot reception.
+"""Random channels, pilot choice, activations and the uplink activity matrix.
 
 Pilots are never materialized: their orthonormality is applied analytically,
 so each AP's matched-filter output on pilot t is y_lt = sqrt(p tau_p) times
 the sum of the channels of the UEs on t, plus CN(0, sigma^2 I_N) noise.
-Given the gains these outputs are independent CN(0, v_lt I_N) vectors, so
-an attempt draws them straight from that law (:func:`draw_uplink`) and
-never draws the channels behind them. The channels the downlink response
-reads are drawn afterwards, at the serving APs only and conditioned on y
-(:func:`cfra.access.conditional_channels`), through :func:`draw_channels`
-and :func:`correlate_uplink` at one antenna.
+Given the gains these outputs are independent CN(0, v_lt I_N) vectors with
+v_lt = alpha_lt + sigma^2. Nothing downstream reads the direction of y_lt:
+the serving sets, the CPU's alpha_hat, the precoder and the conditional
+channel draw read it only through ||y_lt||^2. So an attempt draws the
+activity matrix A_lt = ||y_lt||^2 / N straight from its law
+(:func:`pilot_activity`) and never builds y. The channels the downlink
+response reads are drawn afterwards, at the serving APs only and
+conditioned on ||y_lt|| (:func:`cfra.access.conditional_channels`), through
+:func:`draw_channels` and :func:`correlate_uplink` at one antenna.
 """
 
 from __future__ import annotations
@@ -53,17 +56,29 @@ def select_pilots(num_ues: int, num_pilots: int, rng: np.random.Generator) -> np
     return rng.integers(0, num_pilots, size=num_ues)
 
 
-def draw_uplink(alpha_lt: np.ndarray, n_antennas: int, noise_mw: float,
-                rng: np.random.Generator) -> np.ndarray:
-    """Matched-filter outputs y of shape (..., L, T, N), drawn from their law.
+def activate(idle: np.ndarray, probability: float, rng: np.random.Generator) -> np.ndarray:
+    """The idle UEs that activate, each independently with ``probability``.
+
+    Drawn as a Binomial(|idle|, p) count and then a uniform subset of that
+    size, which has the same law as one coin per UE and costs O(new UEs).
+    """
+    count = rng.binomial(idle.size, probability)
+    return idle[rng.choice(idle.size, count, replace=False, shuffle=False)]
+
+
+def pilot_activity(alpha_lt: np.ndarray, n_antennas: int, noise_mw: float,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Activity matrix A_lt = ||y_lt||^2 / N of shape (..., T, L), drawn from its law.
 
     ``alpha_lt`` (..., T, L) is the true uplink signal power p tau_p sum_k beta_kl
     of each pilot at each AP (:func:`cfra.access.true_alpha_lt`). Given the
-    gains, y_lt is CN(0, (alpha_lt + sigma^2) I_N), independent over (l, t):
-    the same law as :func:`correlate_uplink` on i.i.d. channels.
+    gains, y_lt ~ CN(0, v_lt I_N) with v_lt = alpha_lt + sigma^2, independent
+    over (l, t), so each antenna's |y_lt,n|^2 is v_lt times an Exp(1)
+    variable, independent over n, and ||y_lt||^2 is v_lt times a Gamma(N, 1)
+    variable. A_lt has mean v_lt and variance v_lt^2 / N.
     """
-    variance = np.swapaxes(alpha_lt, -1, -2)[..., None] + noise_mw     # (..., L, T, 1)
-    return complex_noise(variance.shape[:-1] + (n_antennas,), variance, rng)
+    variance = alpha_lt + noise_mw
+    return rng.standard_gamma(n_antennas, variance.shape) * variance / n_antennas
 
 
 def correlate_uplink(h: np.ndarray, pilots: np.ndarray, config: ScenarioConfig,
@@ -78,13 +93,3 @@ def correlate_uplink(h: np.ndarray, pilots: np.ndarray, config: ScenarioConfig,
     noise = complex_noise((*lead, n_aps, config.num_pilots, n_ant), config.noise_mw, rng)
     amp = np.sqrt(config.ul_power_mw * config.num_pilots)
     return kernels.accumulate_uplink(h, pilots, amp, noise)
-
-
-def pilot_activity(y: np.ndarray) -> np.ndarray:
-    """Per-antenna average received energy ||y_lt||^2 / N, shape (..., T, L)."""
-    return received_energy(y) / y.shape[-1]
-
-
-def received_energy(y: np.ndarray) -> np.ndarray:
-    """||y_lt||^2 summed over the antennas, shape (..., T, L)."""
-    return np.swapaxes((np.abs(y) ** 2).sum(axis=-1), -1, -2)

@@ -12,18 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
-from .channel import draw_uplink, pilot_activity, select_pilots
+from .channel import activate, pilot_activity, select_pilots
 from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, greedy_flexible_decide,
-                         knowledge_for)
+                         knowledge_for, sucre_decision)
 from .scenario import ScenarioConfig, Topology, build_topology, natural_sets
 
 PROTOCOLS = ("bcf", "cf-sucre", "ce-sucre")
-
-
-def sucre_decision(gamma: float, alpha_hat: float) -> bool:
-    """True (repeat) iff the UE's own power exceeds half the estimated total;
-    elementwise on arrays."""
-    return gamma > alpha_hat / 2.0
 
 
 def spatial_separability_admit(region, pilots, serving_mask) -> np.ndarray:
@@ -80,8 +74,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     beta_act = topology.gains(active)                   # (K, L)
     pilots = select_pilots(active.size, config.num_pilots, rng)
     alpha_lt = true_alpha_lt(beta_act, pilots, config)  # (T, L)
-    y = draw_uplink(alpha_lt, config.antennas_per_ap, config.noise_mw, rng)
-    activity = pilot_activity(y)
+    activity = pilot_activity(alpha_lt, config.antennas_per_ap, config.noise_mw, rng)
 
     l_max = config.num_aps if protocol == "bcf" else config.l_max
     serving = build_serving_sets(activity, l_max, config.noise_mw)
@@ -100,7 +93,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
         # precoded response, then the distributed decision
         normalized = spec.kind == "est3"
         obs = downlink_observation(
-            y, serving, beta_act, alpha_lt, pilots, config, rng,
+            activity, serving, beta_act, alpha_lt, pilots, config, rng,
             precoding_kind="normalized" if normalized else "standard",
             cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
         if normalized:
@@ -151,16 +144,6 @@ class CampaignResult:
 MAX_CAMPAIGN_BLOCKS = 500
 
 
-def _activate(idle: np.ndarray, probability: float, rng: np.random.Generator) -> np.ndarray:
-    """The idle UEs that activate, each independently with ``probability``.
-
-    Drawn as a Binomial(|idle|, p) count and then a uniform subset of that
-    size, which has the same law as one coin per UE and costs O(new UEs).
-    """
-    count = rng.binomial(idle.size, probability)
-    return idle[rng.choice(idle.size, count, replace=False, shuffle=False)]
-
-
 def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConfig,
                         rng: np.random.Generator,
                         topology: Topology | None = None) -> CampaignResult:
@@ -180,7 +163,7 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
     in_progress = np.zeros(n_ues, dtype=bool)
     ever_active = np.zeros(n_ues, dtype=bool)
 
-    cohort = np.sort(_activate(np.arange(n_ues), config.access_probability, rng))
+    cohort = np.sort(activate(np.arange(n_ues), config.access_probability, rng))
     in_progress[cohort] = True
     ever_active[cohort] = True
 
@@ -195,7 +178,7 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
         if cohort.size == 0:
             break
         if block > 0:
-            newly = _activate(np.flatnonzero(~ever_active), config.access_probability, rng)
+            newly = activate(np.flatnonzero(~ever_active), config.access_probability, rng)
             in_progress[newly] = True
             ever_active[newly] = True
 

@@ -168,6 +168,12 @@ def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig,
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
+def sucre_decision(gamma: float, alpha_hat: float) -> bool:
+    """True (repeat) iff the UE's own power exceeds half the estimated total;
+    elementwise on arrays."""
+    return gamma > alpha_hat / 2.0
+
+
 def greedy_flexible_decide(knowledge: UEKnowledge, spec: EstimatorSpec,
                            config: ScenarioConfig):
     """Sweep nearby-set sizes from the full natural set down to 1 and
@@ -185,7 +191,7 @@ def greedy_flexible_decide(knowledge: UEKnowledge, spec: EstimatorSpec,
         gamma_s = p_tau * sub.sum(axis=-1)
         sub_knowledge = UEKnowledge(gamma=gamma_s, beta_nearby=sub, re_z=knowledge.re_z)
         alpha_hat = estimate(spec.kind, sub_knowledge, config, spec.delta)
-        repeat |= gamma_s > alpha_hat / 2.0
+        repeat |= sucre_decision(gamma_s, alpha_hat)
         if repeat.all():
             break
     return repeat[()]

@@ -16,7 +16,7 @@ from cfra.analysis import distance_cdf, distance_pdf, separability_prediction
 from cfra.access import build_serving_sets, downlink_observation, true_alpha_lt
 from cfra.bench import run_estimator_bench
 from cfra.calibration import calibrate_delta
-from cfra.channel import draw_uplink, pilot_activity
+from cfra.channel import pilot_activity
 from cfra.contention import run_access_campaign, run_attempt
 from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate_1, estimate_2,
                              estimate_2_per_ap, estimate_cellular, knowledge_for)
@@ -243,9 +243,10 @@ def test_criterion_12_property_suites():
         alpha_lt = true_alpha_lt(topo.beta, pilots, cfg)
         rel = []
         for _ in range(200):
-            y = draw_uplink(alpha_lt, n_ant, cfg.noise_mw, rng)
-            serving = build_serving_sets(pilot_activity(y), cfg.l_max, cfg.noise_mw)
-            obs = downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng)
+            activity = pilot_activity(alpha_lt, n_ant, cfg.noise_mw, rng)
+            serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
+            obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg,
+                                       rng)
             sel = obs.served & (obs.z_tilde > 0)
             rel.append(np.abs(obs.z[sel].real / np.sqrt(n_ant) - obs.z_tilde[sel])
                        / obs.z_tilde[sel])

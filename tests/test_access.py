@@ -5,7 +5,7 @@ import pytest
 
 from cfra.access import (build_serving_sets, downlink_observation, large_n_observation,
                          precoder_weights, true_alpha_lt)
-from cfra.channel import draw_uplink, pilot_activity
+from cfra.channel import pilot_activity
 from cfra.estimators import cpu_alpha_hat
 from cfra.scenario import ScenarioConfig, build_topology
 
@@ -15,8 +15,8 @@ def _uplink(cfg, rng, num_ues=6, pilots=None):
     if pilots is None:
         pilots = rng.integers(0, cfg.num_pilots, size=num_ues)
     alpha_lt = true_alpha_lt(topo.beta, pilots, cfg)
-    y = draw_uplink(alpha_lt, cfg.antennas_per_ap, cfg.noise_mw, rng)
-    return topo, pilots, alpha_lt, y, pilot_activity(y)
+    return topo, pilots, alpha_lt, pilot_activity(alpha_lt, cfg.antennas_per_ap,
+                                                  cfg.noise_mw, rng)
 
 
 def _members(serving, t):
@@ -78,20 +78,18 @@ def test_stacked_precoder_and_large_n_equal_per_slice_calls():
     topo = build_topology(cfg, rng, num_ues=6)
     pilots = np.array([0, 0, 1, 2, 2, 2])
     alpha_lt = true_alpha_lt(topo.beta, pilots, cfg)
-    y = draw_uplink(np.broadcast_to(alpha_lt, (3,) + alpha_lt.shape),
-                    cfg.antennas_per_ap, cfg.noise_mw, rng)        # (3, L, T, N)
-    activity = pilot_activity(y)
+    activity = pilot_activity(np.broadcast_to(alpha_lt, (3,) + alpha_lt.shape),
+                              cfg.antennas_per_ap, cfg.noise_mw, rng)   # (3, T, L)
     activity[1, 2] = 0.0                                           # pilot 2 unserved in draw 1
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw)
-    q = cfg.dl_power_per_ap_mw
     for alpha in (None, alpha_hat):
-        scale, q_eff = precoder_weights(y, serving.mask, q, cfg.num_pilots, alpha)
+        scale, q_eff = precoder_weights(activity, serving.mask, cfg, alpha)
         z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg, alpha)
         assert z_tilde.shape == (3, 6) and z_tilde[1, 3:].tolist() == [0.0] * 3
         for d in range(3):
             one = None if alpha is None else alpha[d]
-            s_d, q_d = precoder_weights(y[d], serving.mask[d], q, cfg.num_pilots, one)
+            s_d, q_d = precoder_weights(activity[d], serving.mask[d], cfg, one)
             assert np.array_equal(scale[d], s_d) and np.array_equal(q_eff[d], q_d)
             assert np.array_equal(z_tilde[d], large_n_observation(
                 topo.beta, pilots, serving.mask[d], cfg, one))
@@ -107,7 +105,7 @@ def test_dual_view_involution():
     runs strongest first."""
     cfg = ScenarioConfig()
     rng = np.random.default_rng(1)
-    _, _, _, _, activity = _uplink(cfg, rng, num_ues=12)
+    _, _, _, activity = _uplink(cfg, rng, num_ues=12)
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     for t in range(cfg.num_pilots):
         assert sorted(_members(serving, t)) == list(np.flatnonzero(serving.mask[t]))
@@ -129,13 +127,13 @@ def test_true_alpha_lt_values():
 def test_downlink_requires_alpha_hat_for_normalized():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(3)
-    topo, pilots, alpha_lt, y, activity = _uplink(cfg, rng)
+    topo, pilots, alpha_lt, activity = _uplink(cfg, rng)
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     with pytest.raises(ValueError):
-        downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng,
+        downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
                              precoding_kind="normalized")
     with pytest.raises(ValueError):
-        downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng,
+        downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
                              precoding_kind="standard",
                              cpu_alpha_hat=np.ones(cfg.num_pilots))
 
@@ -144,9 +142,9 @@ def test_standard_precoding_power_accounting():
     """Every serving AP spends exactly q_l per served pilot."""
     cfg = ScenarioConfig()
     rng = np.random.default_rng(4)
-    topo, pilots, alpha_lt, y, activity = _uplink(cfg, rng)
+    topo, pilots, alpha_lt, activity = _uplink(cfg, rng)
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
-    obs = downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng)
+    obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng)
     assert obs.precoding_kind == "standard"
     assert np.allclose(obs.effective_dl_power[serving.mask], cfg.dl_power_per_ap_mw)
     assert np.allclose(obs.effective_dl_power[~serving.mask], 0.0)
@@ -155,19 +153,19 @@ def test_standard_precoding_power_accounting():
 def test_normalized_precoding_reduces_power():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(5)
-    topo, pilots, alpha_lt, y, activity = _uplink(cfg, rng)
+    topo, pilots, alpha_lt, activity = _uplink(cfg, rng)
     serving = build_serving_sets(activity, cfg.num_aps, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw)
-    obs = downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng,
+    obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
                                precoding_kind="normalized",
                                cpu_alpha_hat=alpha_hat)
     q_vals = obs.effective_dl_power[serving.mask]
     assert q_vals.size
     assert q_vals.mean() < cfg.dl_power_per_ap_mw
-    # effective power formula: (q / (N alpha_hat)) * ||y||^2
+    # effective power formula: (q / (N alpha_hat)) * ||y||^2, with ||y||^2 = N A
     t = int(np.flatnonzero(serving.size)[0])
     l = int(serving.order[t, 0])
-    y_norm_sq = (np.abs(y[l, t]) ** 2).sum()
+    y_norm_sq = cfg.antennas_per_ap * activity[t, l]
     expect = cfg.dl_power_per_ap_mw / (cfg.antennas_per_ap * alpha_hat[t]) * y_norm_sq
     assert obs.effective_dl_power[t, l] == pytest.approx(expect, rel=1e-12)
 
@@ -178,11 +176,10 @@ def test_unserved_flag():
     topo = build_topology(cfg, rng, num_ues=2)
     pilots = np.array([0, 0])
     alpha_lt = true_alpha_lt(topo.beta, pilots, cfg)
-    y = draw_uplink(alpha_lt, cfg.antennas_per_ap, cfg.noise_mw, rng)
-    activity = pilot_activity(y)
+    activity = pilot_activity(alpha_lt, cfg.antennas_per_ap, cfg.noise_mw, rng)
     # force no serving APs by an absurd noise floor
     serving = build_serving_sets(activity, cfg.l_max, noise_mw=1e12)
-    obs = downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng)
+    obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng)
     assert not obs.served.any()
     assert np.allclose(obs.z_tilde, 0.0)
 
@@ -198,10 +195,9 @@ def test_hardening_convergence():
         alpha_lt = true_alpha_lt(topo.beta, pilots, cfg)
         rel = []
         for _ in range(300):
-            y = draw_uplink(alpha_lt, n_ant, cfg.noise_mw, rng)
-            activity = pilot_activity(y)
+            activity = pilot_activity(alpha_lt, n_ant, cfg.noise_mw, rng)
             serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
-            obs = downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng)
+            obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng)
             ok = obs.served & (obs.z_tilde > 0)
             rel.append(np.abs(obs.z[ok].real / np.sqrt(n_ant) - obs.z_tilde[ok])
                        / obs.z_tilde[ok])
@@ -228,11 +224,11 @@ def _z_tilde_loop(beta, pilots, serving, cfg, kind, alpha_hat):
 def test_lazy_z_tilde_matches_per_ue_loop(kind):
     cfg = ScenarioConfig()
     rng = np.random.default_rng(8)
-    topo, pilots, alpha_lt, y, activity = _uplink(cfg, rng, num_ues=12)
+    topo, pilots, alpha_lt, activity = _uplink(cfg, rng, num_ues=12)
     activity[pilots[0]] = 0.0          # one pilot with UEs but no serving AP
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
-    obs = downlink_observation(y, serving, topo.beta, alpha_lt, pilots, cfg, rng,
+    obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
                                precoding_kind=kind, cpu_alpha_hat=alpha_hat)
     assert not obs.served.all() and obs.served.any()
     expect = _z_tilde_loop(topo.beta, pilots, serving, cfg, kind, alpha_hat)

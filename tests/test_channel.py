@@ -1,9 +1,10 @@
-"""Channel statistics, uplink accumulation and the batched kernels."""
+"""Channel statistics, the activity law, uplink accumulation and the batched kernels."""
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+from cfra.access import true_alpha_lt
 from cfra.channel import (complex_noise, correlate_uplink,
                           draw_channels, pilot_activity, select_pilots)
 from cfra.kernels import accumulate_uplink, observe_downlink
@@ -64,22 +65,25 @@ def test_correlate_uplink_linearity():
 
 
 def test_pilot_activity_mean():
-    """Average activity approaches alpha_lt + sigma^2."""
+    """Normalized by v_lt = alpha_lt + sigma^2, every entry of the drawn
+    activity is Gamma(N, 1/N): mean 1 and variance 1/N, each within 5
+    standard errors, and exponential at N = 1."""
     cfg = ScenarioConfig()
     rng = np.random.default_rng(5)
     topo = build_topology(cfg, rng, num_ues=3)
-    pilots = np.zeros(3, dtype=int)
-    acc = np.zeros((cfg.num_pilots, cfg.num_aps))
-    reps = 400
-    for _ in range(reps):
-        h = draw_channels(topo.beta, cfg.antennas_per_ap, rng)
-        acc += pilot_activity(correlate_uplink(h, pilots, cfg, rng))
-    acc /= reps
-    alpha_0 = cfg.ul_power_mw * cfg.num_pilots * topo.beta.sum(axis=0)
-    assert np.allclose(acc[0], alpha_0 + cfg.noise_mw,
-                       rtol=0.15, atol=5 * cfg.noise_mw)
-    # unused pilots contain only noise
-    assert acc[3].mean() == pytest.approx(cfg.noise_mw, rel=0.05)
+    alpha_lt = true_alpha_lt(topo.beta, np.zeros(3, dtype=int), cfg)   # pilots 1-4 unused
+    reps = 4000
+    for n in (1, 8, 64):
+        activity = pilot_activity(np.broadcast_to(alpha_lt, (reps,) + alpha_lt.shape), n,
+                                  cfg.noise_mw, rng)
+        a = activity / (alpha_lt + cfg.noise_mw)                       # (R, T, L)
+        var = 1.0 / n
+        se_var = var * np.sqrt((2.0 + 6.0 / n) / reps)                # Gamma excess kurtosis 6/N
+        assert np.abs(a.mean(axis=0) - 1.0).max() < 5 * np.sqrt(var / reps)
+        assert np.abs(a.var(axis=0) - var).max() < 5 * se_var
+        assert kstest(a[:, :, :8].ravel(), "gamma", args=(n, 0.0, 1.0 / n)).pvalue > 1e-3
+        if n == 1:
+            assert kstest(a[:, :, :8].ravel(), "expon").pvalue > 1e-3
 
 
 def _accumulate_uplink_loop(h, pilots, amp, noise):
@@ -136,12 +140,9 @@ def test_stacked_calls_equal_per_slice_calls(K, L, N):
                                                        lead=(2, 3))
     y = accumulate_uplink(h, pilots, 2.5, noise)
     z = observe_downlink(h, y, pilots, scale, dl_noise)
-    activity = pilot_activity(y)
-    assert activity.shape == (2, 3, 5, L)
     for i in np.ndindex(2, 3):
         assert np.array_equal(y[i], accumulate_uplink(h[i], pilots, 2.5, noise[i]))
         assert np.array_equal(z[i], observe_downlink(h[i], y[i], pilots, scale[i], dl_noise[i]))
-        assert np.array_equal(activity[i], pilot_activity(y[i]))
 
 
 def test_favorable_propagation():

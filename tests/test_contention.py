@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from cfra import contention
+from cfra.channel import activate
 from cfra.contention import (AttemptOutcome, run_access_campaign, run_attempt,
-                             spatial_separability_admit, sucre_decision)
-from cfra.estimators import EstimatorSpec
+                             spatial_separability_admit)
+from cfra.estimators import EstimatorSpec, sucre_decision
 from cfra.scenario import ScenarioConfig, Topology, build_topology
 
 
@@ -189,7 +190,7 @@ def test_activations_follow_one_coin_per_ue():
     hits = np.zeros(idle.size)
     counts = []
     for _ in range(20_000):
-        new = contention._activate(idle, p, rng)
+        new = activate(idle, p, rng)
         assert np.unique(new).size == new.size and np.isin(new, idle).all()
         hits[new - 3] += 1
         counts.append(new.size)
@@ -271,26 +272,26 @@ def test_ce_sucre_gains_only_for_active_ues(monkeypatch):
 
 
 # attempts and ANAA of one small campaign per configuration (seed 7), recorded
-# with the uplink drawn from its marginal law and binomial activations
+# with the activity matrix drawn from its Gamma law and binomial activations
 PINNED_CAMPAIGNS = [
     ("bcf", EstimatorSpec(), 1.0416666666666667,
      [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
-    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"), 1.1666666666666667,
-     [1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2]),
-    ("cf-sucre", EstimatorSpec(kind="est3"), 1.5,
-     [1, 1, 1, 1, 1, 1, 1, 3, 1, 1, 2, 1, 1, 6, 1, 1, 2, 4, 1, 1, 1, 1, 1, 1]),
-    ("ce-sucre", EstimatorSpec(kind="cellular"), 8.583333333333334,
-     [10, 1, 10, 10, 3, 10, 10, 10, 1, 10, 10, 10, 10, 10, 1, 10, 10, 10, 10, 10,
+    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"), 1.2083333333333333,
+     [1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 4, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1]),
+    ("cf-sucre", EstimatorSpec(kind="est3"), 1.25,
+     [1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 3, 1, 1, 1, 1, 1, 1, 3, 1, 2, 1, 1, 1, 1]),
+    ("ce-sucre", EstimatorSpec(kind="cellular"), 8.125,
+     [1, 1, 10, 10, 1, 10, 10, 10, 1, 10, 10, 10, 10, 10, 1, 10, 10, 10, 10, 10,
       10, 10, 10, 10]),
 ]
 # the same campaigns' tau_bar_pl, tau_bar, l_bar and q_eff_mw; under ce-sucre
 # the BS serving mask must give one operative AP serving every active pilot
 PINNED_MEANS = {
-    ("bcf", EstimatorSpec()): [5.0, 5.0, 64.0, float("nan")],
+    ("bcf", EstimatorSpec()): [4.99375, 5.0, 64.0, float("nan")],
     ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy")):
-        [1.346153080608705, 4.888888888888889, 36.44444444444444, 3.125],
+        [1.3826572652792164, 5.0, 36.4, 3.125],
     ("cf-sucre", EstimatorSpec(kind="est3")):
-        [1.4141420200418502, 5.0, 35.5, 0.294656367999242],
+        [1.35926947201457, 5.0, 36.888888888888886, 0.2975204242540861],
     ("ce-sucre", EstimatorSpec(kind="cellular")): [5.0, 5.0, 1.0, 200.0],
 }
 

@@ -1,13 +1,14 @@
 """The attempt's sampler against the full channel sampler, in law.
 
-An attempt draws the uplink y from its marginal law and each UE's channel
-only at its pilot's serving slots, conditioned on y (``draw_uplink``,
-``conditional_channels``). The reference below is the full sampler it
-replaced: every UE's N-antenna channel to every AP, the uplink built from
-those channels plus fresh noise, and the downlink observation read off the
-full channels. At fixed gains and pilots the two must agree in law: the
-activity of every (pilot, AP), the serving-set frequencies and the
-distribution, mean and variance of each UE's observation z.
+An attempt draws the activity matrix ||y_lt||^2 / N from its Gamma law and
+each UE's channel only at its pilot's serving slots, conditioned on ||y_lt||
+(``pilot_activity``, ``conditional_channels``); it never builds y. The
+reference below is the full sampler it replaced: every UE's N-antenna
+channel to every AP, the N-antenna uplink built from those channels plus
+fresh noise, and the downlink observation read off the full channels. At
+fixed gains and pilots the two must agree in law: the activity of every
+(pilot, AP), the serving-set frequencies and the distribution, mean and
+variance of each UE's observation z.
 
 The seeds are fixed, so every verdict below is deterministic. Each family
 of p-values is held to a Bonferroni bound at level 0.01.
@@ -19,9 +20,8 @@ from scipy.stats import ks_2samp
 
 import cfra
 from cfra.access import (build_serving_sets, conditional_channels, downlink_observation,
-                         precoder_weights, true_alpha_lt)
-from cfra.channel import (complex_noise, draw_channels, draw_uplink, pilot_activity,
-                          received_energy)
+                         true_alpha_lt)
+from cfra.channel import complex_noise, draw_channels, pilot_activity
 from cfra.contention import run_attempt
 from cfra.estimators import EstimatorSpec, cpu_alpha_hat
 from cfra.kernels import accumulate_uplink, observe_downlink
@@ -30,6 +30,24 @@ from cfra.scenario import ScenarioConfig, build_topology
 REALIZATIONS = 20_000
 CHUNK = 1_000
 LEVEL = 0.01
+
+
+def _activity(y):
+    """||y_lt||^2 / N of an N-antenna uplink y (..., L, T, N), as (..., T, L)."""
+    return np.swapaxes((np.abs(y) ** 2).mean(axis=-1), -1, -2)
+
+
+def _precoder_scale(y, serving_mask, cfg, alpha_hat):
+    """Precoder scale read off the N-antenna uplink: sqrt(q tau_p) / ||y_lt||
+    (standard) or sqrt(q tau_p) / sqrt(N alpha_hat_t) (normalized), 0 off
+    the serving set."""
+    amplitude = np.sqrt(cfg.dl_power_per_ap_mw * cfg.num_pilots)
+    if alpha_hat is None:
+        norm = np.linalg.norm(np.swapaxes(y, -2, -3), axis=-1)            # (..., T, L)
+    else:
+        norm = np.sqrt(y.shape[-1] * alpha_hat)[..., None]
+    with np.errstate(divide="ignore"):
+        return np.where(serving_mask, amplitude / norm, 0.0)
 
 
 def _full_sampler(beta, pilots, cfg, columns, l_max, kinds, rng, reps):
@@ -44,29 +62,28 @@ def _full_sampler(beta, pilots, cfg, columns, l_max, kinds, rng, reps):
     h = draw_channels(np.broadcast_to(beta, (reps,) + beta.shape), n_ant, rng)
     noise = complex_noise((reps, cfg.num_aps, columns, n_ant), cfg.noise_mw, rng)
     y = accumulate_uplink(h, pilots, amp, noise)
-    activity = pilot_activity(y)
+    activity = _activity(y)
     serving = build_serving_sets(activity, l_max, cfg.noise_mw)
     out = [activity, serving.mask]
     for kind in kinds:
         alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
-        scale, _ = precoder_weights(y, serving.mask, cfg.dl_power_per_ap_mw, cfg.num_pilots,
-                                    alpha_hat)
+        scale = _precoder_scale(y, serving.mask, cfg, alpha_hat)
         eta = complex_noise((reps, pilots.size), cfg.noise_mw, rng)
         out.append(observe_downlink(h, y, pilots, scale, eta))
     return out
 
 
 def _attempt_sampler(beta, pilots, cfg, columns, l_max, kinds, rng, reps):
-    """The attempt's sampler: y from its marginal, channels given y at serving slots."""
+    """The attempt's sampler: the activity from its Gamma law, channels given
+    ||y|| at the serving slots."""
     alpha_lt = true_alpha_lt(beta, pilots, cfg)[:columns]
-    y = draw_uplink(np.broadcast_to(alpha_lt, (reps,) + alpha_lt.shape),
-                    cfg.antennas_per_ap, cfg.noise_mw, rng)
-    activity = pilot_activity(y)
+    activity = pilot_activity(np.broadcast_to(alpha_lt, (reps,) + alpha_lt.shape),
+                              cfg.antennas_per_ap, cfg.noise_mw, rng)
     serving = build_serving_sets(activity, l_max, cfg.noise_mw)
     out = [activity, serving.mask]
     for kind in kinds:
         alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
-        out.append(downlink_observation(y, serving, beta, alpha_lt, pilots, cfg, rng,
+        out.append(downlink_observation(activity, serving, beta, alpha_lt, pilots, cfg, rng,
                                         precoding_kind=kind, cpu_alpha_hat=alpha_hat).z)
     return out
 
@@ -199,7 +216,7 @@ def test_projection_onto_uplink_gives_the_same_observation():
     y = accumulate_uplink(h, pilots, np.sqrt(cfg.ul_power_mw * cfg.num_pilots),
                           complex_noise((cfg.num_aps, cfg.num_pilots, cfg.antennas_per_ap),
                                         cfg.noise_mw, rng))
-    norm = np.sqrt(np.swapaxes(received_energy(y), 0, 1))[..., None]       # (L, T, 1)
+    norm = np.sqrt(cfg.antennas_per_ap * np.swapaxes(_activity(y), 0, 1))[..., None]  # (L, T, 1)
     u = y / norm
     h_p = np.einsum("lkn,kln->kl", np.conj(u[:, pilots]), h)[..., None]   # (K, L, 1)
     scale = rng.random((cfg.num_pilots, cfg.num_aps))
@@ -212,10 +229,11 @@ def test_projection_onto_uplink_gives_the_same_observation():
 
 @pytest.fixture
 def drawn(monkeypatch):
-    """Records the shape of every draw_channels and complex_noise result,
-    wherever in the package the two functions are called from."""
+    """Records the shape of every draw_channels, complex_noise and
+    pilot_activity result, wherever in the package the three functions are
+    called from."""
     record = []
-    for name in ("draw_channels", "complex_noise"):
+    for name in ("draw_channels", "complex_noise", "pilot_activity"):
         original = getattr(cfra.channel, name)
 
         def wrapper(*args, _f=original, _name=name, **kwargs):
@@ -237,21 +255,23 @@ def drawn(monkeypatch):
     ("ce-sucre", EstimatorSpec(kind="cellular")),
 ])
 def test_attempt_draw_budget(drawn, protocol, spec):
-    """An attempt draws the uplink (L T N entries) and, with a downlink
-    response, K J channel entries, J T prior-uplink noise entries and K
-    downlink noise entries, J being the largest serving set of a used pilot:
-    never a channel to every AP."""
+    """An attempt draws the activity matrix once (L T entries) and, with a
+    downlink response, K J channel entries, J T prior-uplink noise entries
+    and K downlink noise entries, J being the largest serving set of a used
+    pilot: never an N-antenna uplink, never a channel to every AP."""
     cfg = ScenarioConfig()
     rng = np.random.default_rng(35)
     topo = build_topology(cfg, rng, num_ues=300)
     phy = cfg.bs_config if protocol == "ce-sucre" else cfg
-    bound_ul = phy.num_aps * phy.num_pilots * phy.antennas_per_ap
+    bound_ul = phy.num_aps * phy.num_pilots
     for active in (range(300), range(40), [7]):
         drawn.clear()
         out = run_attempt(protocol, spec, topo, active, cfg, rng)
         k = out.ues.size
         entries = sum(int(np.prod(shape)) for _, shape in drawn)
         channels = [shape for name, shape in drawn if name == "draw_channels"]
+        assert [shape for name, shape in drawn if name == "pilot_activity"] \
+            == [(phy.num_pilots, phy.num_aps)]
         if protocol == "bcf":
             assert channels == [] and entries <= bound_ul
             continue
