@@ -30,10 +30,9 @@ from .estimators import (BEST_PAIRS, CF_ESTIMATORS, ESTIMATOR_KINDS,
                          preprocess_est3, sucre_decision)
 from .metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
                       write_reports)
-from .scenario import (NearbySet, ScenarioConfig, Topology, ap_grid,
-                       bs_topology, build_topology, db_to_linear,
-                       limit_distance, linear_to_db, load_config,
-                       natural_sets, nearby_set, pathloss_beta)
+from .scenario import (ScenarioConfig, Topology, ap_grid, bs_topology,
+                       build_topology, db_to_linear, limit_distance,
+                       linear_to_db, load_config, natural_sets, pathloss_beta)
 from .sweeps import FIGURE_CLASSES, SweepDescriptor, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -7,9 +7,8 @@ produces each colliding UE's scalar observation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,17 +80,7 @@ class DownlinkObservation:
 
     z: np.ndarray              # (..., K) complex correlated DL observation
     served: np.ndarray         # (..., K) bool; False when the UE's pilot is inactive
-    precoding_kind: str        # "standard" | "normalized"
     effective_dl_power: np.ndarray  # (..., T, L): q_l (standard) or q~_lt on serving entries
-    large_n: Callable[[], np.ndarray] = field(repr=False)  # evaluates z_tilde
-
-    @cached_property
-    def z_tilde(self) -> np.ndarray:
-        """(..., K) deterministic large-N approximation of Re(z)/sqrt(N).
-
-        Evaluated on first access only; the access protocols never read it.
-        """
-        return self.large_n()
 
 
 def true_alpha_lt(beta_active: np.ndarray, pilots: np.ndarray,
@@ -161,7 +150,6 @@ def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarr
 def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active: np.ndarray,
                          alpha_lt: np.ndarray, pilots: np.ndarray,
                          config: ScenarioConfig, rng: np.random.Generator,
-                         precoding_kind: str = "standard",
                          cpu_alpha_hat: np.ndarray | None = None) -> DownlinkObservation:
     """Correlated scalar z_k at every transmitting UE, shape (..., K).
 
@@ -171,15 +159,9 @@ def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active
     ``serving`` and ``cpu_alpha_hat`` carry the leading axes of ``activity``.
     The channels are drawn here, at each pilot's serving slots only and
     conditioned on ||y_lt|| = sqrt(N A_lt) (:func:`conditional_channels`).
-    Normalized precoding (see :func:`precoder_weights`) is required when the
-    UEs apply the compensation-factor estimator; ``cpu_alpha_hat`` must be
-    given exactly in that case.
+    Giving ``cpu_alpha_hat`` selects normalized precoding (see
+    :func:`precoder_weights`), which the compensation-factor estimator needs.
     """
-    if precoding_kind not in ("standard", "normalized"):
-        raise ValueError(f"unknown precoding kind {precoding_kind!r}")
-    if (cpu_alpha_hat is None) != (precoding_kind == "standard"):
-        raise ValueError("cpu_alpha_hat must be provided iff precoding is normalized")
-
     scale, q_eff = precoder_weights(activity, serving.mask, config, cpu_alpha_hat)
     # slot j of pilot t is its j-th strongest AP; slots past size[t] carry scale 0
     slots = serving.order[..., :int(serving.size[..., pilots].max(initial=0))]  # (..., T, J)
@@ -192,10 +174,7 @@ def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active
     z = kernels.observe_downlink(h, y_norm, pilots, _at_slots(scale, slots), eta)
 
     served = serving.mask.any(axis=-1)[..., pilots]
-    return DownlinkObservation(
-        z=z, served=served, precoding_kind=precoding_kind, effective_dl_power=q_eff,
-        large_n=partial(large_n_observation, beta_active, pilots, serving.mask, config,
-                        cpu_alpha_hat))
+    return DownlinkObservation(z=z, served=served, effective_dl_power=q_eff)
 
 
 def large_n_observation(beta_active: np.ndarray, pilots: np.ndarray,

@@ -105,7 +105,7 @@ def separability_prediction(config: ScenarioConfig,
     side = config.square_length_m
     if num_inactive_ues is None:
         num_inactive_ues = config.num_inactive_ues
-    d_lim = limit_distance(config, iota=1.0)
+    d_lim = limit_distance(config)
     area = math.pi * d_lim ** 2
     neighbor_prob = distance_cdf(2.0 * d_lim, side)
     avg_collision = num_inactive_ues * config.access_probability / config.num_pilots

@@ -42,7 +42,6 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
     """
     cellular = kind == "cellular"
     phy = config.bs_config if cellular else config
-    normalized = kind == "est3"
     pilots = np.zeros(collision_size, dtype=int)          # every UE on pilot 0
 
     nmse_out = np.empty((num_setups, collision_size))
@@ -52,8 +51,7 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
     for s in range(num_setups):
         topo = build_topology(config, rng, num_ues=collision_size)
         beta = (topo.bs_view if cellular else topo).beta                  # (S, L)
-        nearby = np.argsort(-beta, axis=1, kind="stable")[:, :nearby_size]
-        beta_nearby = np.take_along_axis(beta, nearby, axis=1)             # (S, C)
+        beta_nearby = -np.sort(-beta, axis=1)[:, :nearby_size]             # (S, C) strongest first
 
         alpha_lt = true_alpha_lt(beta, pilots, config)[:1]                 # (1, L)
         activity = pilot_activity(np.broadcast_to(alpha_lt, (num_realizations, 1, phy.num_aps)),
@@ -61,8 +59,7 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
         serving = build_serving_sets(activity, l_max, config.noise_mw)
         obs = downlink_observation(
             activity, serving, beta, alpha_lt, pilots, phy, rng,
-            precoding_kind="normalized" if normalized else "standard",
-            cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
+            cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if kind == "est3" else None)
 
         est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config, delta)
         mask = serving.mask[:, 0]                                           # (R, L)

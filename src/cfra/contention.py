@@ -79,7 +79,8 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     l_max = config.num_aps if protocol == "bcf" else config.l_max
     serving = build_serving_sets(activity, l_max, config.noise_mw)
     served = serving.mask.any(axis=1)[pilots]
-    order, size = natural_sets(beta_act, config)
+    ranked, members = natural_sets(beta_act, config)
+    size = members.sum(axis=1)
     alpha_true = np.where(serving.mask, alpha_lt, 0.0).sum(axis=1)
     used = np.zeros(config.num_pilots, dtype=bool)
     used[pilots] = True
@@ -94,7 +95,6 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
         normalized = spec.kind == "est3"
         obs = downlink_observation(
             activity, serving, beta_act, alpha_lt, pilots, config, rng,
-            precoding_kind="normalized" if normalized else "standard",
             cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
         if normalized:
             q_vals = obs.effective_dl_power[serving.mask]
@@ -107,8 +107,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
         candidates = np.flatnonzero(served)
         for n in np.flatnonzero(np.bincount(size[candidates])):
             batch = candidates[size[candidates] == n]
-            knowledge = knowledge_for(beta_act[batch[:, None], order[batch, :n]],
-                                      obs.z[batch].real, config)
+            knowledge = knowledge_for(ranked[batch, :n], obs.z[batch].real, config)
             alpha_hat[batch] = estimate(spec.kind, knowledge, config, spec.delta)
             if spec.nearby_method == "greedy":
                 repeat[batch] = greedy_flexible_decide(knowledge, spec, config)
@@ -116,10 +115,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
                 repeat[batch] = sucre_decision(knowledge.gamma, alpha_hat[batch])
 
     winners = np.flatnonzero(repeat)
-    region = np.zeros((winners.size, config.num_aps), dtype=bool)   # natural sets as masks
-    region[np.arange(winners.size)[:, None], order[winners]] = \
-        np.arange(config.num_aps) < size[winners, None]
-    admit = spatial_separability_admit(region, pilots[winners], serving.mask)
+    admit = spatial_separability_admit(members[winners], pilots[winners], serving.mask)
     return AttemptOutcome(
         ues=active, pilots=pilots, served=served, repeat=repeat, alpha_hat=alpha_hat,
         alpha_true=alpha_true, admitted=active[winners[admit]],

@@ -9,12 +9,6 @@ import numpy as np
 
 from .scenario import ScenarioConfig
 
-CSV_COLUMNS = [
-    "sweep_axis", "sweep_value", "protocol", "estimator", "nearby_method",
-    "anaa", "tcp_mw_symbols", "nmse_median", "nmse_iqr", "neb_median",
-    "neb_iqr", "trials", "seed",
-]
-
 
 def iqr(values) -> float:
     values = np.asarray(values, dtype=float)
@@ -80,6 +74,9 @@ class MetricsReport:
             else:
                 kwargs[name] = raw
         return cls(**kwargs)
+
+
+CSV_COLUMNS = [f.name for f in fields(MetricsReport)]
 
 
 def write_reports(reports, path) -> None:

@@ -1,4 +1,4 @@
-"""Scenario configuration, unit conversion, topology and nearby-AP sets.
+"""Scenario configuration, unit conversion, topology and natural nearby sets.
 
 All internal computation is done in linear scale (mW, meters); dB/dBm only
 appear at the configuration and reporting boundaries.
@@ -53,7 +53,6 @@ class ScenarioConfig:
     bs_dl_power_mw: float = 200.0
     max_attempts: int = 10
     reattempt_probability: float = 0.5
-    iota: float = 1.0
     l_max: int = 10
 
     def __post_init__(self):
@@ -70,8 +69,6 @@ class ScenarioConfig:
             raise ValueError("antennas_per_ap must be >= 1")
         if not 1 <= self.l_max <= self.num_aps:
             raise ValueError("l_max must lie in [1, num_aps]")
-        if self.iota < 1.0:
-            raise ValueError("iota must be >= 1")
         if not 0.0 <= self.access_probability <= 1.0:
             raise ValueError("access_probability must lie in [0, 1]")
         if not 0.0 <= self.reattempt_probability <= 1.0:
@@ -262,54 +259,24 @@ def bs_topology(config: ScenarioConfig, ue_positions: np.ndarray) -> Topology:
     return Topology(center, np.asarray(ue_positions, dtype=float), config)
 
 
-def limit_distance(config: ScenarioConfig, iota: float | None = None) -> float:
-    """Radius of the influence region around a UE, in meters."""
-    if iota is None:
-        iota = config.iota
+def limit_distance(config: ScenarioConfig, iota: float = 1.0) -> float:
+    """Radius in meters inside which a UE hears an AP above ``iota`` times the noise."""
     base = (1.0 / iota) * config.omega_lin * config.dl_power_per_ap_mw / config.noise_mw
     return base ** (1.0 / config.pathloss_exponent)
 
 
-@dataclass
-class NearbySet:
-    """APs a UE can hear above the noise floor, strongest first."""
-
-    ue_index: int
-    ap_indices: np.ndarray
-    is_natural: bool
-
-
-def _order_desc(beta_row: np.ndarray) -> np.ndarray:
-    # stable sort on the negated gains: ties broken by lower AP index
-    return np.argsort(-beta_row, kind="stable")
-
-
-def nearby_set(topology: Topology, ue: int, config: ScenarioConfig,
-               iota: float | None = None) -> NearbySet:
-    """APs with received DL power above iota * noise; never empty.
-
-    Falls back to the single strongest AP when the threshold excludes all,
-    so a UE always knows at least one AP.
-    """
-    if iota is None:
-        iota = config.iota
-    beta_row = topology.gains(ue)
-    order = _order_desc(beta_row)
-    above = config.dl_power_per_ap_mw * beta_row[order] > iota * config.noise_mw
-    members = order[above]
-    if members.size == 0:
-        members = order[:1]
-    return NearbySet(ue_index=ue, ap_indices=members, is_natural=(iota == 1.0))
-
-
 def natural_sets(beta: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Natural nearby sets (iota = 1) of the UEs whose gain rows are ``beta`` (K, L).
+    """Natural nearby sets of the UEs whose gain rows are ``beta`` (K, L).
 
-    Returns ``(order, size)``: each row's APs by descending gain, ties to the
-    lower index (as :func:`nearby_set`), and the natural-set length per UE,
-    at least 1. UE ``k``'s set is ``order[k, :size[k]]``.
+    Returns ``(ranked, members)``: each row's gains strongest first (K, L),
+    and the (K, L) mask of the APs the UE hears above noise,
+    q_l beta_kl > sigma^2. A UE that hears none keeps its strongest AP, the
+    lower index on a tie, so every set is non-empty. The members are the
+    strongest ``members.sum(1)`` APs of the row, so UE ``k``'s nearby gains
+    are ``ranked[k, :members[k].sum()]``.
     """
-    order = np.argsort(-beta, axis=1, kind="stable")
-    # the APs above the threshold are a prefix of each ranked row; keep >= 1
-    size = np.maximum((config.dl_power_per_ap_mw * beta > config.noise_mw).sum(axis=1), 1)
-    return order, size
+    ranked = -np.sort(-beta, axis=1)
+    members = config.dl_power_per_ap_mw * beta > config.noise_mw
+    deaf = np.flatnonzero(~members.any(axis=1))
+    members[deaf, beta[deaf].argmax(axis=1)] = True
+    return ranked, members

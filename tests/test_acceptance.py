@@ -13,7 +13,8 @@ import pytest
 from scipy.integrate import quad
 
 from cfra.analysis import distance_cdf, distance_pdf, separability_prediction
-from cfra.access import build_serving_sets, downlink_observation, true_alpha_lt
+from cfra.access import (build_serving_sets, downlink_observation, large_n_observation,
+                         true_alpha_lt)
 from cfra.bench import run_estimator_bench
 from cfra.calibration import calibrate_delta
 from cfra.channel import pilot_activity
@@ -247,9 +248,10 @@ def test_criterion_12_property_suites():
             serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
             obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg,
                                        rng)
-            sel = obs.served & (obs.z_tilde > 0)
-            rel.append(np.abs(obs.z[sel].real / np.sqrt(n_ant) - obs.z_tilde[sel])
-                       / obs.z_tilde[sel])
+            z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg)
+            sel = obs.served & (z_tilde > 0)
+            rel.append(np.abs(obs.z[sel].real / np.sqrt(n_ant) - z_tilde[sel])
+                       / z_tilde[sel])
         errors.append(float(np.concatenate(rel).mean()))
     ok_hard = errors[0] > errors[1] > errors[2]
 

@@ -124,20 +124,6 @@ def test_true_alpha_lt_values():
     assert np.allclose(alpha[0], 0.0)
 
 
-def test_downlink_requires_alpha_hat_for_normalized():
-    cfg = ScenarioConfig()
-    rng = np.random.default_rng(3)
-    topo, pilots, alpha_lt, activity = _uplink(cfg, rng)
-    serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
-    with pytest.raises(ValueError):
-        downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
-                             precoding_kind="normalized")
-    with pytest.raises(ValueError):
-        downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
-                             precoding_kind="standard",
-                             cpu_alpha_hat=np.ones(cfg.num_pilots))
-
-
 def test_standard_precoding_power_accounting():
     """Every serving AP spends exactly q_l per served pilot."""
     cfg = ScenarioConfig()
@@ -145,7 +131,6 @@ def test_standard_precoding_power_accounting():
     topo, pilots, alpha_lt, activity = _uplink(cfg, rng)
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng)
-    assert obs.precoding_kind == "standard"
     assert np.allclose(obs.effective_dl_power[serving.mask], cfg.dl_power_per_ap_mw)
     assert np.allclose(obs.effective_dl_power[~serving.mask], 0.0)
 
@@ -157,7 +142,6 @@ def test_normalized_precoding_reduces_power():
     serving = build_serving_sets(activity, cfg.num_aps, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw)
     obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
-                               precoding_kind="normalized",
                                cpu_alpha_hat=alpha_hat)
     q_vals = obs.effective_dl_power[serving.mask]
     assert q_vals.size
@@ -181,7 +165,7 @@ def test_unserved_flag():
     serving = build_serving_sets(activity, cfg.l_max, noise_mw=1e12)
     obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng)
     assert not obs.served.any()
-    assert np.allclose(obs.z_tilde, 0.0)
+    assert np.allclose(large_n_observation(topo.beta, pilots, serving.mask, cfg), 0.0)
 
 
 def test_hardening_convergence():
@@ -198,9 +182,9 @@ def test_hardening_convergence():
             activity = pilot_activity(alpha_lt, n_ant, cfg.noise_mw, rng)
             serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
             obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng)
-            ok = obs.served & (obs.z_tilde > 0)
-            rel.append(np.abs(obs.z[ok].real / np.sqrt(n_ant) - obs.z_tilde[ok])
-                       / obs.z_tilde[ok])
+            z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg)
+            ok = obs.served & (z_tilde > 0)
+            rel.append(np.abs(obs.z[ok].real / np.sqrt(n_ant) - z_tilde[ok]) / z_tilde[ok])
         errors.append(float(np.concatenate(rel).mean()))
     assert errors[0] > errors[1] > errors[2]
 
@@ -221,7 +205,7 @@ def _z_tilde_loop(beta, pilots, serving, cfg, kind, alpha_hat):
 
 
 @pytest.mark.parametrize("kind", ["standard", "normalized"])
-def test_lazy_z_tilde_matches_per_ue_loop(kind):
+def test_z_tilde_matches_per_ue_loop(kind):
     cfg = ScenarioConfig()
     rng = np.random.default_rng(8)
     topo, pilots, alpha_lt, activity = _uplink(cfg, rng, num_ues=12)
@@ -229,8 +213,9 @@ def test_lazy_z_tilde_matches_per_ue_loop(kind):
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
     obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
-                               precoding_kind=kind, cpu_alpha_hat=alpha_hat)
+                               cpu_alpha_hat=alpha_hat)
     assert not obs.served.all() and obs.served.any()
+    z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg, alpha_hat)
     expect = _z_tilde_loop(topo.beta, pilots, serving, cfg, kind, alpha_hat)
-    assert np.allclose(obs.z_tilde, expect, rtol=1e-12, atol=0.0)
-    assert np.all(obs.z_tilde[~obs.served] == 0.0) and np.all(obs.z_tilde[obs.served] > 0)
+    assert np.allclose(z_tilde, expect, rtol=1e-12, atol=0.0)
+    assert np.all(z_tilde[~obs.served] == 0.0) and np.all(z_tilde[obs.served] > 0)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cfra.cli import main
+from cfra.metrics import read_reports
 from cfra.scenario import ScenarioConfig
 from cfra.sweeps import SweepDescriptor, bench_point
 
@@ -80,6 +81,15 @@ def test_estimators_bench(tmp_path, small_cfg):
     assert code == 0
     rows = _read_csv(tmp_path / "estimators-bench.csv")
     assert [r["estimator"] for r in rows] == ["est1", "cellular"]
+
+
+def test_estimators_bench_csv_reads_back_as_reports(tmp_path, small_cfg):
+    """The estimators-bench CSV is in the package's own report format."""
+    assert main(["estimators-bench", "--config", str(small_cfg), "--out", str(tmp_path),
+                 "--trials", "2", "--collision-sizes", "2", "--estimators", "est1"]) == 0
+    reports = read_reports(tmp_path / "estimators-bench.csv")
+    assert [(r.estimator, r.sweep_value, r.trials) for r in reports] == [("est1", 2.0, 2)]
+    assert np.isfinite(reports[0].nmd_mean)
 
 
 def test_estimators_bench_rows_are_sweep_bench_points(tmp_path):

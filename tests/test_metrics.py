@@ -62,5 +62,5 @@ def test_csv_columns_fixed_contract():
     assert CSV_COLUMNS == [
         "sweep_axis", "sweep_value", "protocol", "estimator", "nearby_method",
         "anaa", "tcp_mw_symbols", "nmse_median", "nmse_iqr", "neb_median",
-        "neb_iqr", "trials", "seed",
+        "neb_iqr", "nmd_mean", "trials", "seed",
     ]

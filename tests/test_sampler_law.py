@@ -84,7 +84,7 @@ def _attempt_sampler(beta, pilots, cfg, columns, l_max, kinds, rng, reps):
     for kind in kinds:
         alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
         out.append(downlink_observation(activity, serving, beta, alpha_lt, pilots, cfg, rng,
-                                        precoding_kind=kind, cpu_alpha_hat=alpha_hat).z)
+                                        cpu_alpha_hat=alpha_hat).z)
     return out
 
 

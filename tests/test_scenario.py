@@ -1,4 +1,4 @@
-"""Configuration, topology and nearby-set tests."""
+"""Configuration, topology and natural nearby-set tests."""
 
 import math
 from dataclasses import asdict
@@ -9,7 +9,7 @@ import pytest
 from cfra.scenario import (MIN_DISTANCE_M, ScenarioConfig, ap_grid,
                            bs_topology, build_topology, db_to_linear,
                            limit_distance, linear_to_db, load_config,
-                           natural_sets, nearby_set, pathloss_beta)
+                           natural_sets, pathloss_beta)
 
 
 def test_db_roundtrip():
@@ -27,8 +27,6 @@ def test_config_validation():
         ScenarioConfig(num_pilots=0)
     with pytest.raises(ValueError):
         ScenarioConfig(l_max=65)
-    with pytest.raises(ValueError):
-        ScenarioConfig(iota=0.5)
     with pytest.raises(ValueError):
         ScenarioConfig(access_probability=1.5)
 
@@ -85,6 +83,14 @@ def test_load_config(tmp_path):
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("not_a_field = 3\n")
+    with pytest.raises(ValueError, match="unknown key"):
+        load_config(path)
+
+
+def test_load_config_rejects_iota(tmp_path):
+    """The natural set is the one nearby-set rule: no threshold knob."""
+    path = tmp_path / "bad.cfg"
+    path.write_text("iota = 2\n")
     with pytest.raises(ValueError, match="unknown key"):
         load_config(path)
 
@@ -211,54 +217,61 @@ def test_bs_topology_center():
 
 def test_nearby_set_threshold_and_fallback():
     cfg = ScenarioConfig()
-    rng = np.random.default_rng(1)
-    topo = build_topology(cfg, rng, num_ues=50)
-    d_lim = limit_distance(cfg, iota=1.0)
-    for ue in range(50):
-        ns = nearby_set(topo, ue, cfg, iota=1.0)
-        assert ns.ap_indices.size >= 1
-        inside = np.flatnonzero(topo.distances[ue] < d_lim)
-        assert set(inside) <= set(ns.ap_indices.tolist())
-        # strongest first
-        gains = topo.beta[ue, ns.ap_indices]
-        assert (np.diff(gains) <= 1e-18).all()
+    topo = build_topology(cfg, np.random.default_rng(1), num_ues=50)
+    ranked, members = natural_sets(topo.beta, cfg)
+    assert ranked.shape == members.shape == (50, cfg.num_aps)
+    assert (members.sum(axis=1) >= 1).all()
+    # every AP inside d_lim is a member
+    assert not (topo.distances < limit_distance(cfg))[~members].any()
+    # gains strongest first
+    assert (np.diff(ranked, axis=1) <= 0.0).all()
 
 
 def test_nearby_set_fallback_single_strongest():
     cfg = ScenarioConfig(dl_power_per_ap_mw=1e-12)  # threshold excludes all
-    rng = np.random.default_rng(2)
-    topo = build_topology(cfg, rng, num_ues=5)
-    for ue in range(5):
-        ns = nearby_set(topo, ue, cfg)
-        assert ns.ap_indices.size == 1
-        assert ns.ap_indices[0] == topo.beta[ue].argmax()
+    topo = build_topology(cfg, np.random.default_rng(2), num_ues=5)
+    _, members = natural_sets(topo.beta, cfg)
+    assert (members.sum(axis=1) == 1).all()
+    assert np.array_equal(members.argmax(axis=1), topo.beta.argmax(axis=1))
+
+
+def test_natural_sets_deaf_tie_keeps_lower_index():
+    cfg = ScenarioConfig(num_aps=4, l_max=4)
+    loud = 2.0 * cfg.noise_mw / cfg.dl_power_per_ap_mw      # heard above noise
+    quiet = 0.5 * cfg.noise_mw / cfg.dl_power_per_ap_mw     # not heard
+    beta = np.array([[quiet, loud, quiet / 2, loud],
+                     [quiet / 4, quiet, quiet / 2, quiet],    # deaf, tie on APs 1 and 3
+                     [quiet, quiet / 2, quiet / 4, quiet / 8],  # deaf
+                     [loud, quiet, loud, loud]])
+    ranked, members = natural_sets(beta, cfg)
+    assert members.tolist() == [[False, True, False, True],
+                                [False, True, False, False],
+                                [True, False, False, False],
+                                [True, False, True, True]]
+    assert np.array_equal(ranked, -np.sort(-beta, axis=1))
 
 
 def test_natural_sets_match_single_calls():
     cfg = ScenarioConfig()
-    rng = np.random.default_rng(4)
-    topo = build_topology(cfg, rng, num_ues=6)
-    order, size = natural_sets(topo.gains(range(6)), cfg)
-    assert order.shape == (6, cfg.num_aps) and size.shape == (6,)
+    topo = build_topology(cfg, np.random.default_rng(4), num_ues=6)
+    beta = topo.gains(range(6))
+    ranked, members = natural_sets(beta, cfg)
     for ue in range(6):
-        single = nearby_set(topo, ue, cfg, iota=1.0).ap_indices
-        assert np.array_equal(order[ue, :size[ue]], single)
+        one_ranked, one_members = natural_sets(beta[ue:ue + 1], cfg)
+        assert np.array_equal(ranked[ue], one_ranked[0])
+        assert np.array_equal(members[ue], one_members[0])
+        # the nearby gains are the ranked prefix of the member count
+        size = int(members[ue].sum())
+        assert np.array_equal(ranked[ue, :size], np.sort(beta[ue, members[ue]])[::-1])
 
 
 def test_natural_sets_follow_config():
     cfg = ScenarioConfig()
     quiet = ScenarioConfig(dl_power_per_ap_mw=cfg.dl_power_per_ap_mw / 50.0)
-    topo = build_topology(cfg, np.random.default_rng(5), num_ues=8)
-    beta = topo.gains(range(8))
-    sizes = []
-    for other in (quiet, cfg):
-        order, size = natural_sets(beta, other)
-        for ue in range(8):
-            single = nearby_set(topo, ue, other, iota=1.0).ap_indices
-            assert np.array_equal(order[ue, :size[ue]], single)
-        sizes.append(size)
-    assert (sizes[0] >= 1).all() and (sizes[0] <= sizes[1]).all()
-    assert not np.array_equal(*sizes)
+    beta = build_topology(cfg, np.random.default_rng(5), num_ues=8).gains(range(8))
+    (_, few), (_, many) = natural_sets(beta, quiet), natural_sets(beta, cfg)
+    assert (few.sum(axis=1) >= 1).all() and not (few & ~many).any()
+    assert (few.sum(axis=1) < many.sum(axis=1)).any()
 
 
 def test_bs_view_is_the_cached_single_bs_topology():
@@ -271,5 +284,5 @@ def test_bs_view_is_the_cached_single_bs_topology():
     rows = np.array([29, 3, 3, 11])                 # row indices are UE ids
     assert np.array_equal(view.gains(rows), ref.beta[rows])
     assert view.computed_rows == 3 and topo.computed_rows == 0
-    order, size = natural_sets(view.gains(rows), cfg.bs_config)
-    assert (order == 0).all() and (size == 1).all()
+    ranked, members = natural_sets(view.gains(rows), cfg.bs_config)
+    assert members.all() and np.array_equal(ranked, ref.beta[rows])
