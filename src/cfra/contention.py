@@ -70,7 +70,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     elif protocol == "cf-sucre" and spec.kind == "cellular":
         raise ValueError("the cellular estimator only applies to ce-sucre")
 
-    active = np.asarray(list(active_ues), dtype=int)
+    active = np.asarray(active_ues, dtype=np.intp)
     beta_act = topology.gains(active)                   # (K, L)
     pilots = select_pilots(active.size, config.num_pilots, rng)
     alpha_lt = true_alpha_lt(beta_act, pilots, config)  # (T, L)
@@ -79,8 +79,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     l_max = config.num_aps if protocol == "bcf" else config.l_max
     serving = build_serving_sets(activity, l_max, config.noise_mw)
     served = serving.mask.any(axis=1)[pilots]
-    ranked, members = natural_sets(beta_act, config)
-    size = members.sum(axis=1)
+    members = natural_sets(beta_act, config)
     alpha_true = np.where(serving.mask, alpha_lt, 0.0).sum(axis=1)
     used = np.zeros(config.num_pilots, dtype=bool)
     used[pilots] = True
@@ -102,17 +101,16 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
         else:
             q_eff_mean = config.dl_power_per_ap_mw
 
-        # one decision batch per natural-set length: the gains of a batch form an
-        # exact (B, n) block, so every sum runs over the same terms as for one UE
-        candidates = np.flatnonzero(served)
-        for n in np.flatnonzero(np.bincount(size[candidates])):
-            batch = candidates[size[candidates] == n]
-            knowledge = knowledge_for(ranked[batch, :n], obs.z[batch].real, config)
-            alpha_hat[batch] = estimate(spec.kind, knowledge, config, spec.delta)
-            if spec.nearby_method == "greedy":
-                repeat[batch] = greedy_flexible_decide(knowledge, spec, config)
-            else:
-                repeat[batch] = sucre_decision(knowledge.gamma, alpha_hat[batch])
+        # one decision batch: served UEs' nearby gains strongest first, zero-padded
+        deciders = np.flatnonzero(served)
+        n_max = members[deciders].sum(axis=1).max(initial=1)
+        nearby = -np.sort(-np.where(members[deciders], beta_act[deciders], 0.0), axis=1)[:, :n_max]
+        knowledge = knowledge_for(nearby, obs.z[deciders].real, config)
+        alpha_hat[deciders] = estimate(spec.kind, knowledge, config, spec.delta)
+        if spec.nearby_method == "greedy":
+            repeat[deciders] = greedy_flexible_decide(knowledge, spec, config)
+        else:
+            repeat[deciders] = sucre_decision(knowledge.gamma, alpha_hat[deciders])
 
     winners = np.flatnonzero(repeat)
     admit = spatial_separability_admit(members[winners], pilots[winners], serving.mask)
@@ -135,6 +133,8 @@ class CampaignResult:
     tau_bar: float              # avg active pilots network-wide
     l_bar: float                # avg operative APs per block
     q_eff_mw: float             # avg effective DL power per serving entry
+    blocks: int                 # coherence blocks that carried an attempt; the averages' base
+    truncated: bool             # cohort UEs pending at MAX_CAMPAIGN_BLOCKS, counted as given up
 
 
 MAX_CAMPAIGN_BLOCKS = 500
@@ -165,13 +165,10 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
 
     tau_pl_sum = tau_sum = l_sum = 0.0
     q_eff_sum = 0.0
-    q_eff_blocks = 0
-    blocks = 0
+    q_eff_blocks = blocks = 0
 
     for block in range(MAX_CAMPAIGN_BLOCKS):
-        if resolved[cohort].all() and cohort.size:
-            break
-        if cohort.size == 0:
+        if resolved[cohort].all():      # an empty cohort is resolved at once
             break
         if block > 0:
             newly = activate(np.flatnonzero(~ever_active), config.access_probability, rng)
@@ -202,17 +199,13 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
             q_eff_sum += out.q_eff_mean
             q_eff_blocks += 1
 
-    # anything still pending at the cap counts as given up with its attempts so far
-    if cohort.size:
-        anaa = float(attempts[cohort].mean())
-    else:
-        anaa = float("nan")
     return CampaignResult(
         attempts=attempts[cohort],
         succeeded=succeeded[cohort],
-        anaa=anaa,
+        anaa=float(attempts[cohort].mean()) if cohort.size else float("nan"),
         tau_bar_pl=tau_pl_sum / blocks if blocks else 0.0,
         tau_bar=tau_sum / blocks if blocks else 0.0,
         l_bar=l_sum / blocks if blocks else 0.0,
         q_eff_mw=q_eff_sum / q_eff_blocks if q_eff_blocks else float("nan"),
+        blocks=blocks, truncated=not resolved[cohort].all(),
     )

@@ -43,6 +43,8 @@ class EstimatorSpec:
             raise ValueError(f"unknown nearby method {self.nearby_method!r}")
         if self.kind == "est3" and self.delta is not None and self.delta < 1.0:
             raise ValueError("delta must be >= 1")
+        if self.kind == "cellular" and self.nearby_method == "greedy":
+            raise ValueError("the cellular estimator has no nearby set sizes to sweep")
 
 
 def best_pair(kind: str, size: int) -> tuple[int, int]:
@@ -62,11 +64,11 @@ def best_pair(kind: str, size: int) -> tuple[int, int]:
 
 @dataclass
 class UEKnowledge:
-    """What one UE, or a batch of UEs with equally long nearby sets, knows
-    when it runs its estimator.
+    """What one UE, or a batch of UEs, knows when it runs its estimator.
 
     ``beta_nearby`` holds the gains toward the nearby APs, strongest first,
-    shape (n,) or (B, n); ``re_z`` is the real part of the correlated
+    shape (n,) or (B, n); a batch pads shorter sets with zero gains, which
+    every estimator ignores. ``re_z`` is the real part of the correlated
     downlink observation and ``gamma`` the UE's own power, shape () or (B,).
     """
 
@@ -94,22 +96,30 @@ def _cte(beta: np.ndarray, config: ScenarioConfig) -> np.ndarray:
 # Every estimator below works on one UE or on a batch: gains reduce over the
 # last axis, and squares use np.square so that scalars and arrays round alike.
 
+def _invert(kind: str, cte_sum, re_z, config: ScenarioConfig, delta: float | None = None):
+    """Raw est1 or est3 estimate from ``cte_sum``, a set's summed scaled gain or a running sum."""
+    n = config.antennas_per_ap
+    if kind == "est1":
+        return n * np.square(cte_sum / np.maximum(re_z, eps_z(n))) - config.noise_mw
+    if delta is None:
+        delta = config.compensation_factor
+    return np.square(cte_sum / np.maximum(preprocess_est3(re_z, delta, config), eps_z(n)))
+
+
 def estimate_1(knowledge: UEKnowledge, config: ScenarioConfig):
     """Equal-power-per-AP inversion of the downlink observation."""
-    n = config.antennas_per_ap
-    rez = np.maximum(knowledge.re_z, eps_z(n))
-    raw = n * np.square(_cte(knowledge.beta_nearby, config).sum(axis=-1) / rez) - config.noise_mw
+    raw = _invert("est1", _cte(knowledge.beta_nearby, config).sum(axis=-1), knowledge.re_z, config)
     return np.maximum(raw, knowledge.gamma)
 
 
 def estimate_2_per_ap(beta: np.ndarray, re_z, config: ScenarioConfig) -> np.ndarray:
-    """Closed-form per-AP power split minimizing the total under the
-    observation constraint; the sum over APs (the last axis) is the estimate."""
+    """Closed-form per-AP power split minimizing the total under the observation
+    constraint; the sum over APs (the last axis) is the estimate. A zero gain gets 0."""
     n = config.antennas_per_ap
     rez = np.maximum(re_z, eps_z(n))
     cte23 = _cte(np.asarray(beta, dtype=float), config) ** (2.0 / 3.0)
     factor = n * np.square(cte23.sum(axis=-1) / rez)
-    return np.expand_dims(factor, -1) * cte23 - config.noise_mw
+    return np.where(cte23 > 0.0, np.expand_dims(factor, -1) * cte23 - config.noise_mw, 0.0)
 
 
 def estimate_2(knowledge: UEKnowledge, config: ScenarioConfig):
@@ -131,11 +141,8 @@ def preprocess_est3(re_z, delta: float, config: ScenarioConfig):
 def estimate_3(knowledge: UEKnowledge, config: ScenarioConfig,
                delta: float | None = None):
     """Inversion tailored to the normalized (power-equalized) precoding."""
-    if delta is None:
-        delta = config.compensation_factor
-    pre = np.maximum(preprocess_est3(knowledge.re_z, delta, config),
-                     eps_z(config.antennas_per_ap))
-    raw = np.square(_cte(knowledge.beta_nearby, config).sum(axis=-1) / pre)
+    raw = _invert("est3", _cte(knowledge.beta_nearby, config).sum(axis=-1), knowledge.re_z,
+                  config, delta)
     return np.maximum(raw, knowledge.gamma)
 
 
@@ -174,24 +181,28 @@ def sucre_decision(gamma: float, alpha_hat: float) -> bool:
     return gamma > alpha_hat / 2.0
 
 
+def _prefix_estimates(kind: str, beta: np.ndarray, re_z, config: ScenarioConfig,
+                      delta: float | None = None) -> np.ndarray:
+    """Raw estimate of ``kind`` over every prefix of the gains ``beta`` (..., n),
+    from running sums; est2's is N (C_s / Re z)^2 C_s - s sigma^2 over s APs."""
+    re_z = np.expand_dims(re_z, -1)
+    if kind != "est2":
+        return _invert(kind, np.cumsum(_cte(beta, config), axis=-1), re_z, config, delta)
+    n = config.antennas_per_ap
+    c_s = np.cumsum(_cte(beta, config) ** (2.0 / 3.0), axis=-1)
+    return (n * np.square(c_s / np.maximum(re_z, eps_z(n))) * c_s
+            - np.cumsum(beta > 0.0, axis=-1) * config.noise_mw)
+
+
 def greedy_flexible_decide(knowledge: UEKnowledge, spec: EstimatorSpec,
                            config: ScenarioConfig):
-    """Sweep nearby-set sizes from the full natural set down to 1 and
-    retransmit if any size wins the contention rule.
+    """Retransmit if any nearby-set size, from the full natural set down to 1,
+    wins the contention rule; all sizes are read at once from running sums.
 
     Both the estimate and the UE's own-power reference shrink with the set,
     keeping the two sides of the rule consistent at every size. A batch of
-    B equally long sets gives B decisions.
+    B rows gives B decisions; a zero-padded row repeats its full-set decision.
     """
-    beta = knowledge.beta_nearby
-    p_tau = config.ul_power_mw * config.num_pilots
-    repeat = np.zeros(beta.shape[:-1], dtype=bool)
-    for size in range(beta.shape[-1], 0, -1):
-        sub = beta[..., :size]
-        gamma_s = p_tau * sub.sum(axis=-1)
-        sub_knowledge = UEKnowledge(gamma=gamma_s, beta_nearby=sub, re_z=knowledge.re_z)
-        alpha_hat = estimate(spec.kind, sub_knowledge, config, spec.delta)
-        repeat |= sucre_decision(gamma_s, alpha_hat)
-        if repeat.all():
-            break
-    return repeat[()]
+    gamma_s = config.ul_power_mw * config.num_pilots * np.cumsum(knowledge.beta_nearby, axis=-1)
+    raw = _prefix_estimates(spec.kind, knowledge.beta_nearby, knowledge.re_z, config, spec.delta)
+    return sucre_decision(gamma_s, np.maximum(raw, gamma_s)).any(axis=-1)

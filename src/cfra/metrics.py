@@ -52,7 +52,7 @@ class MetricsReport:
     neb_median: float = float("nan")
     neb_iqr: float = float("nan")
     nmd_mean: float = float("nan")
-    trials: int = 0
+    trials: int = 0     # campaigns that gave an ANAA, or bench setups; 0 when closed-form
     seed: int = 0
 
     def to_row(self) -> list[str]:

@@ -265,18 +265,14 @@ def limit_distance(config: ScenarioConfig, iota: float = 1.0) -> float:
     return base ** (1.0 / config.pathloss_exponent)
 
 
-def natural_sets(beta: np.ndarray, config: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+def natural_sets(beta: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """Natural nearby sets of the UEs whose gain rows are ``beta`` (K, L).
 
-    Returns ``(ranked, members)``: each row's gains strongest first (K, L),
-    and the (K, L) mask of the APs the UE hears above noise,
+    Returns the (K, L) mask of the APs each UE hears above noise,
     q_l beta_kl > sigma^2. A UE that hears none keeps its strongest AP, the
-    lower index on a tie, so every set is non-empty. The members are the
-    strongest ``members.sum(1)`` APs of the row, so UE ``k``'s nearby gains
-    are ``ranked[k, :members[k].sum()]``.
+    lower index on a tie, so every set is non-empty.
     """
-    ranked = -np.sort(-beta, axis=1)
     members = config.dl_power_per_ap_mw * beta > config.noise_mw
     deaf = np.flatnonzero(~members.any(axis=1))
     members[deaf, beta[deaf].argmax(axis=1)] = True
-    return ranked, members
+    return members

@@ -108,7 +108,7 @@ def _campaign_point(desc: SweepDescriptor, num_ues: int, protocol: str,
         protocol=protocol, estimator=spec.kind, nearby_method=spec.nearby_method,
         anaa=float(np.mean(anaa_vals)) if anaa_vals else float("nan"),
         tcp_mw_symbols=float(np.mean(tcp_vals)) if tcp_vals else float("nan"),
-        trials=desc.trials, seed=desc.seed)
+        trials=len(anaa_vals), seed=desc.seed)
 
 
 def _separability_point(desc: SweepDescriptor, num_ues: int,

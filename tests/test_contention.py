@@ -7,8 +7,8 @@ from cfra import contention
 from cfra.channel import activate
 from cfra.contention import (AttemptOutcome, run_access_campaign, run_attempt,
                              spatial_separability_admit)
-from cfra.estimators import EstimatorSpec, sucre_decision
-from cfra.scenario import ScenarioConfig, Topology, build_topology
+from cfra.estimators import EstimatorSpec, knowledge_for, sucre_decision
+from cfra.scenario import ScenarioConfig, Topology, build_topology, natural_sets
 
 
 def test_sucre_decision():
@@ -181,6 +181,35 @@ def test_bcf_admitted_subset_of_colliders():
     assert out.active_pilots == np.unique(out.pilots).size
 
 
+@pytest.mark.parametrize("kind", ["est2", "est3"])
+def test_decision_batch_is_ranked_and_zero_padded(monkeypatch, kind):
+    """One knowledge batch per attempt: each served UE's natural-set gains,
+    strongest first, zero-padded to the longest set."""
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(15)
+    topo = build_topology(cfg, rng, num_ues=300)
+    batches = []
+
+    def spy(beta_nearby, re_z, config):
+        batches.append(beta_nearby)
+        return knowledge_for(beta_nearby, re_z, config)
+
+    monkeypatch.setattr(contention, "knowledge_for", spy)
+    out = run_attempt("cf-sucre", EstimatorSpec(kind=kind, nearby_method="greedy"),
+                      topo, range(300), cfg, rng)
+    assert len(batches) == 1
+    block, deciders = batches[0], out.ues[out.served]
+    members = natural_sets(topo.gains(deciders), cfg)
+    sizes = members.sum(axis=1)
+    assert block.shape == (deciders.size, sizes.max()) and (sizes < sizes.max()).any()
+    assert (np.diff(block, axis=1) <= 0.0).all()
+    for row, ue, mask, n in zip(block, deciders, members, sizes):
+        assert np.array_equal(row[:n], np.sort(topo.gains([ue])[0, mask])[::-1])
+        assert not row[n:].any()
+    assert np.isfinite(out.alpha_hat[out.served]).all()
+    assert np.isnan(out.alpha_hat[~out.served]).all()
+
+
 def test_activations_follow_one_coin_per_ue():
     """A binomial count and a uniform subset: every idle UE activates with
     probability p, and the count has the binomial mean and variance."""
@@ -224,6 +253,26 @@ def test_campaign_empty_cohort_is_nan():
     res = run_access_campaign("bcf", EstimatorSpec(), cfg, np.random.default_rng(8))
     assert res.attempts.size == 0
     assert np.isnan(res.anaa)
+
+
+def test_campaign_counts_blocks_and_truncation(monkeypatch):
+    """``blocks`` counts the blocks that carried an attempt; a campaign cut at
+    the block cap with cohort UEs pending is ``truncated``."""
+    cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.05)
+    spec = EstimatorSpec(kind="est2", nearby_method="greedy")
+    calls = []
+
+    def spy(*args):
+        calls.append(args[3])
+        return run_attempt(*args)
+
+    monkeypatch.setattr(contention, "run_attempt", spy)
+    res = run_access_campaign("cf-sucre", spec, cfg, np.random.default_rng(16))
+    assert res.blocks == len(calls) > 1 and not res.truncated
+    monkeypatch.setattr(contention, "MAX_CAMPAIGN_BLOCKS", 1)
+    res = run_access_campaign("cf-sucre", spec, cfg, np.random.default_rng(16))
+    assert res.blocks == 1 and res.truncated
+    assert (~res.succeeded & (res.attempts < cfg.max_attempts)).any()
 
 
 def test_campaign_computes_gains_only_for_transmitters(monkeypatch):

@@ -4,11 +4,11 @@ closed-form optimality residual."""
 import numpy as np
 import pytest
 
-from cfra.estimators import (BEST_PAIRS, EstimatorSpec, UEKnowledge, best_pair,
-                             cpu_alpha_hat, eps_z, estimate, estimate_1,
+from cfra.estimators import (BEST_PAIRS, EstimatorSpec, UEKnowledge, _prefix_estimates,
+                             best_pair, cpu_alpha_hat, eps_z, estimate, estimate_1,
                              estimate_2, estimate_2_per_ap, estimate_3,
                              estimate_cellular, greedy_flexible_decide,
-                             knowledge_for, preprocess_est3)
+                             knowledge_for, preprocess_est3, sucre_decision)
 from cfra.scenario import ScenarioConfig
 
 
@@ -25,6 +25,8 @@ def test_spec_validation():
         EstimatorSpec(nearby_method="psychic")
     with pytest.raises(ValueError):
         EstimatorSpec(kind="est3", delta=0.5)
+    with pytest.raises(ValueError):
+        EstimatorSpec(kind="cellular", nearby_method="greedy")
     EstimatorSpec(kind="est3", delta=8.0)  # valid
 
 
@@ -209,3 +211,82 @@ def test_batched_cellular_equals_one_ue_results():
     assert batch.shape == (200,)
     assert all(estimate_cellular(float(b), float(r), cfg) == a
                for b, r, a in zip(beta, rez, batch))
+
+
+N_MAX = 17
+
+
+def _ragged_rows(cfg, rng, rows=80):
+    """Gain rows strongest first with set lengths 1..N_MAX, zero-padded to
+    N_MAX; the first observations are clamped, zero and floored."""
+    lengths = np.concatenate([np.arange(1, N_MAX + 1), rng.integers(1, N_MAX + 1, rows - N_MAX)])
+    beta = np.sort(10.0 ** rng.uniform(-12, -7, (rows, N_MAX)), axis=1)[:, ::-1].copy()
+    beta[np.arange(N_MAX) >= lengths[:, None]] = 0.0
+    rez = np.sqrt(cfg.antennas_per_ap) * 10.0 ** rng.uniform(-6, -3, rows)
+    rez[:3] = (-1.0, 0.0, 1e30)
+    return beta, lengths, rez
+
+
+def _per_size_sweep(one: UEKnowledge, spec: EstimatorSpec, cfg) -> bool:
+    """The greedy rule as one estimate call per set size, full set down to 1."""
+    repeat = False
+    for size in range(one.beta_nearby.size, 0, -1):
+        sub = knowledge_for(one.beta_nearby[:size], one.re_z, cfg)
+        repeat |= bool(sucre_decision(sub.gamma, estimate(spec.kind, sub, cfg, spec.delta)))
+    return repeat
+
+
+@pytest.mark.parametrize("kind", ["est1", "est2", "est3"])
+def test_ragged_batch_equals_one_ue_decisions(kind):
+    """A zero-padded batch of sets of lengths 1-17 decides exactly as each
+    bare set alone, fixed and greedy, and the greedy sweep from running sums
+    decides as the per-size sweep."""
+    cfg = ScenarioConfig()
+    beta, lengths, rez = _ragged_rows(cfg, np.random.default_rng(20))
+    spec = EstimatorSpec(kind=kind, nearby_method="greedy")
+    batch = knowledge_for(beta, rez, cfg)
+    alpha = estimate(kind, batch, cfg)
+    fixed = sucre_decision(batch.gamma, alpha)
+    greedy = greedy_flexible_decide(batch, spec, cfg)
+    assert alpha.shape == fixed.shape == greedy.shape == (beta.shape[0],)
+    for b, n in enumerate(lengths):
+        one = knowledge_for(beta[b, :n], rez[b], cfg)
+        assert estimate(kind, one, cfg) == pytest.approx(alpha[b], rel=1e-12)
+        assert sucre_decision(one.gamma, estimate(kind, one, cfg)) == fixed[b]
+        assert greedy_flexible_decide(one, spec, cfg) == greedy[b]
+        assert _per_size_sweep(one, spec, cfg) == greedy[b]
+    # both rules take both outcomes, and the sweep wins where the full set loses
+    assert set(fixed.tolist()) == set(greedy.tolist()) == {True, False}
+    assert (greedy & ~fixed).any() and not (fixed & ~greedy).any()
+
+
+@pytest.mark.parametrize("kind", ["est1", "est2", "est3"])
+def test_prefix_estimates_equal_estimates_of_each_prefix(kind):
+    """Running sums give every prefix's estimate; past a row's own length they
+    hold its full-set value. est2's prefix total equals the sum of its per-AP
+    split over that prefix."""
+    cfg = ScenarioConfig()
+    beta, lengths, rez = _ragged_rows(cfg, np.random.default_rng(21))
+    raw = _prefix_estimates(kind, beta, rez, cfg)
+    gamma_s = cfg.ul_power_mw * cfg.num_pilots * np.cumsum(beta, axis=1)
+    assert raw.shape == beta.shape
+    for b, n in enumerate(lengths):
+        for size in range(1, n + 1):
+            prefix = knowledge_for(beta[b, :size], rez[b], cfg)
+            assert max(raw[b, size - 1], gamma_s[b, size - 1]) == \
+                pytest.approx(estimate(kind, prefix, cfg), rel=1e-12)
+            if kind == "est2":
+                total = estimate_2_per_ap(beta[b, :size], rez[b], cfg).sum()
+                assert raw[b, size - 1] == pytest.approx(total, rel=1e-12)
+        assert (raw[b, n:] == raw[b, n - 1]).all()
+
+
+def test_est2_ignores_zero_padding():
+    """A zero gain is no AP: est2 of a zero-padded row equals est2 of the bare row."""
+    cfg = ScenarioConfig()
+    beta, lengths, rez = _ragged_rows(cfg, np.random.default_rng(22))
+    for b, n in enumerate(lengths):
+        padded = knowledge_for(beta[b], rez[b], cfg)
+        bare = knowledge_for(beta[b, :n], rez[b], cfg)
+        assert (estimate_2_per_ap(beta[b], rez[b], cfg)[n:] == 0.0).all()
+        assert estimate_2(padded, cfg) == pytest.approx(estimate_2(bare, cfg), rel=1e-12)

@@ -218,19 +218,17 @@ def test_bs_topology_center():
 def test_nearby_set_threshold_and_fallback():
     cfg = ScenarioConfig()
     topo = build_topology(cfg, np.random.default_rng(1), num_ues=50)
-    ranked, members = natural_sets(topo.beta, cfg)
-    assert ranked.shape == members.shape == (50, cfg.num_aps)
+    members = natural_sets(topo.beta, cfg)
+    assert members.shape == (50, cfg.num_aps) and members.dtype == bool
     assert (members.sum(axis=1) >= 1).all()
-    # every AP inside d_lim is a member
-    assert not (topo.distances < limit_distance(cfg))[~members].any()
-    # gains strongest first
-    assert (np.diff(ranked, axis=1) <= 0.0).all()
+    # every AP inside d_lim is a member, and only those
+    assert np.array_equal(members, topo.distances < limit_distance(cfg))
 
 
 def test_nearby_set_fallback_single_strongest():
     cfg = ScenarioConfig(dl_power_per_ap_mw=1e-12)  # threshold excludes all
     topo = build_topology(cfg, np.random.default_rng(2), num_ues=5)
-    _, members = natural_sets(topo.beta, cfg)
+    members = natural_sets(topo.beta, cfg)
     assert (members.sum(axis=1) == 1).all()
     assert np.array_equal(members.argmax(axis=1), topo.beta.argmax(axis=1))
 
@@ -243,33 +241,29 @@ def test_natural_sets_deaf_tie_keeps_lower_index():
                      [quiet / 4, quiet, quiet / 2, quiet],    # deaf, tie on APs 1 and 3
                      [quiet, quiet / 2, quiet / 4, quiet / 8],  # deaf
                      [loud, quiet, loud, loud]])
-    ranked, members = natural_sets(beta, cfg)
-    assert members.tolist() == [[False, True, False, True],
-                                [False, True, False, False],
-                                [True, False, False, False],
-                                [True, False, True, True]]
-    assert np.array_equal(ranked, -np.sort(-beta, axis=1))
+    assert natural_sets(beta, cfg).tolist() == [[False, True, False, True],
+                                                [False, True, False, False],
+                                                [True, False, False, False],
+                                                [True, False, True, True]]
 
 
 def test_natural_sets_match_single_calls():
     cfg = ScenarioConfig()
     topo = build_topology(cfg, np.random.default_rng(4), num_ues=6)
     beta = topo.gains(range(6))
-    ranked, members = natural_sets(beta, cfg)
+    members = natural_sets(beta, cfg)
     for ue in range(6):
-        one_ranked, one_members = natural_sets(beta[ue:ue + 1], cfg)
-        assert np.array_equal(ranked[ue], one_ranked[0])
-        assert np.array_equal(members[ue], one_members[0])
-        # the nearby gains are the ranked prefix of the member count
+        assert np.array_equal(members[ue], natural_sets(beta[ue:ue + 1], cfg)[0])
+        # the members are the strongest members.sum() APs of the row
         size = int(members[ue].sum())
-        assert np.array_equal(ranked[ue, :size], np.sort(beta[ue, members[ue]])[::-1])
+        assert beta[ue, members[ue]].min() > np.sort(beta[ue])[::-1][size:].max(initial=0.0)
 
 
 def test_natural_sets_follow_config():
     cfg = ScenarioConfig()
     quiet = ScenarioConfig(dl_power_per_ap_mw=cfg.dl_power_per_ap_mw / 50.0)
     beta = build_topology(cfg, np.random.default_rng(5), num_ues=8).gains(range(8))
-    (_, few), (_, many) = natural_sets(beta, quiet), natural_sets(beta, cfg)
+    few, many = natural_sets(beta, quiet), natural_sets(beta, cfg)
     assert (few.sum(axis=1) >= 1).all() and not (few & ~many).any()
     assert (few.sum(axis=1) < many.sum(axis=1)).any()
 
@@ -284,5 +278,4 @@ def test_bs_view_is_the_cached_single_bs_topology():
     rows = np.array([29, 3, 3, 11])                 # row indices are UE ids
     assert np.array_equal(view.gains(rows), ref.beta[rows])
     assert view.computed_rows == 3 and topo.computed_rows == 0
-    ranked, members = natural_sets(view.gains(rows), cfg.bs_config)
-    assert members.all() and np.array_equal(ranked, ref.beta[rows])
+    assert natural_sets(view.gains(rows), cfg.bs_config).all()

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cfra import sweeps
 from cfra.metrics import read_reports
 from cfra.scenario import ScenarioConfig
 from cfra.sweeps import SweepDescriptor, run_sweep, write_outputs
@@ -91,3 +92,27 @@ def test_bench_sweep_rejects_untuned_size():
                            protocols=("cf-sucre",), estimators=("est2",))
     with pytest.raises(ValueError, match="collision size 11"):
         run_sweep(desc, ScenarioConfig())
+
+
+def test_campaign_trials_count_nonempty_cohorts(tmp_path, monkeypatch):
+    """A sweep row reports the campaigns that gave an ANAA; the manifest keeps
+    the requested count."""
+    run_campaign = sweeps.run_access_campaign
+    anaa = []
+
+    def spy(*args, **kwargs):
+        result = run_campaign(*args, **kwargs)
+        anaa.append(result.anaa)
+        return result
+
+    monkeypatch.setattr(sweeps, "run_access_campaign", spy)
+    cfg = ScenarioConfig(access_probability=0.01)
+    desc = SweepDescriptor(figure_class="anaa-sweep", values=(50,), trials=12, seed=4,
+                           protocols=("bcf",))
+    reports = run_sweep(desc, cfg, out_dir=tmp_path)
+    effective = int(np.isfinite(anaa).sum())
+    assert len(anaa) == 12 and 0 < effective < 12      # some cohorts were empty
+    assert reports[0].trials == effective
+    assert read_reports(tmp_path / "anaa-sweep.csv")[0].trials == effective
+    manifest = json.loads((tmp_path / "anaa-sweep.manifest.json").read_text())
+    assert manifest["descriptor"]["trials"] == 12
