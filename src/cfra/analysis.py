@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import quad
-
 from .scenario import ScenarioConfig, limit_distance
 
 _SQRT2 = math.sqrt(2.0)
 _EDGE_TOL = 1e-9
+# I_n = int_0^1 x^n (acos x - x sqrt(1 - x^2)) dx for n = 1, 2, 3: moments of
+# the unit lens shape, exact by x = cos(theta) and integration by parts
+_LENS_MOMENTS = (math.pi / 16.0, 4.0 / 45.0, math.pi / 64.0)
 
 
 def _g(z: float, d: float, span: float) -> float:
@@ -43,14 +44,20 @@ def distance_cdf(d: float, side: float) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+def _pdf_polynomial(side: float) -> tuple[float, tuple[float, float, float]]:
+    """Scale 2/s^4 and coefficients c_1, c_2, c_3 of the short-range density
+    (2/s^4) * sum_n c_n d^n, with s = 2*side."""
+    span = 2.0 * side
+    return 2.0 / span ** 4, ((1.0 + math.pi) * span ** 2, -4.0 * span, -1.0)
+
+
 def distance_pdf(d: float, side: float) -> float:
     """Density matching :func:`distance_cdf`, short-range branch (d <= side)."""
     if d < -_EDGE_TOL or d > side + _EDGE_TOL:
         raise ValueError(f"distance {d} outside the short-range branch [0, {side}]")
     d = min(max(d, 0.0), side)
-    span = 2.0 * side
-    return (2.0 / span ** 4) * ((1.0 + math.pi) * span ** 2 * d
-                                - 4.0 * span * d ** 2 - d ** 3)
+    scale, coeffs = _pdf_polynomial(side)
+    return scale * sum(c * d ** n for n, c in enumerate(coeffs, start=1))
 
 
 def overlap_area(d: float, radius: float) -> float:
@@ -66,23 +73,19 @@ def expected_overlap_area(d_lim: float, side: float) -> float:
     """Unconditional expectation of the overlap of two influence disks.
 
     Valid in the short-range regime 2*d_lim <= side, where only the first
-    branch of the distance density contributes.
+    branch of the distance density contributes. With d = 2*d_lim*x the lens
+    area is 2 d_lim^2 (acos x - x sqrt(1 - x^2)), so the term c_n d^n of the
+    density contributes 2 d_lim^2 c_n (2 d_lim)^(n+1) I_n to the integral
+    over [0, 2 d_lim].
     """
     if d_lim <= 0.0:
         return 0.0
     if 2.0 * d_lim > side:
         raise ValueError("expected_overlap_area requires 2*d_lim <= side")
-
-    def h1(d):
-        return 2.0 * d_lim ** 2 * math.acos(min(d / (2.0 * d_lim), 1.0)) * distance_pdf(d, side)
-
-    def h2(d):
-        return (d / 2.0) * math.sqrt(max(4.0 * d_lim ** 2 - d * d, 0.0)) * distance_pdf(d, side)
-
-    upper = 2.0 * d_lim
-    e_h1, _ = quad(h1, 0.0, upper, epsabs=1e-10, limit=200)
-    e_h2, _ = quad(h2, 0.0, upper, epsabs=1e-10, limit=200)
-    return e_h1 - e_h2
+    scale, coeffs = _pdf_polynomial(side)
+    moments = sum(c * (2.0 * d_lim) ** (n + 1) * i_n
+                  for n, (c, i_n) in enumerate(zip(coeffs, _LENS_MOMENTS), start=1))
+    return scale * 2.0 * d_lim ** 2 * moments
 
 
 @dataclass

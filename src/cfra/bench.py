@@ -32,8 +32,7 @@ class BenchResult:
 def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
                         l_max: int, config: ScenarioConfig,
                         rng: np.random.Generator,
-                        num_setups: int = 100, num_realizations: int = 100,
-                        delta: float | None = None) -> BenchResult:
+                        num_setups: int = 100, num_realizations: int = 100) -> BenchResult:
     """Median-ready NMSE/NEB samples for one estimator at one collision size.
 
     The cellular estimator runs the same loop on the single-BS view
@@ -61,7 +60,7 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
             activity, serving, beta, alpha_lt, pilots, phy, rng,
             cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if kind == "est3" else None)
 
-        est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config, delta)
+        est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config)
         mask = serving.mask[:, 0]                                           # (R, L)
         alpha_t = mask @ alpha_lt[0]                                        # (R,)
 

@@ -18,6 +18,9 @@ from .channel import activate, pilot_activity, select_pilots
 from .estimators import cpu_alpha_hat
 from .scenario import ScenarioConfig, build_topology
 
+# collision sizes whose serving APs the compensation factor averages over
+COLLISION_SIZES = range(1, 11)
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -32,8 +35,7 @@ class TrainingConfig:
             raise ValueError("rounds and repetitions must be >= 1")
 
 
-def train_lmax(training: TrainingConfig, rng: np.random.Generator,
-               topology=None) -> tuple[int, list[float]]:
+def train_lmax(training: TrainingConfig, rng: np.random.Generator) -> tuple[int, list[float]]:
     """Serving-cap selection by averaged-activity thresholding.
 
     Per round: draw the active set, average the activity matrix over the
@@ -42,13 +44,11 @@ def train_lmax(training: TrainingConfig, rng: np.random.Generator,
     any active UE contribute nothing; all-empty training is an error.
     """
     config = training.scenario
-    if topology is None:
-        topology = build_topology(config, rng)
-    n_ues = topology.ue_positions.shape[0]
+    topology = build_topology(config, rng)
 
     per_round: list[float] = []
     for _ in range(training.rounds):
-        active = activate(np.arange(n_ues), config.access_probability, rng)
+        active = activate(np.arange(config.num_inactive_ues), config.access_probability, rng)
         if active.size == 0:
             continue
         pilots = select_pilots(active.size, config.num_pilots, rng)
@@ -68,19 +68,17 @@ def train_lmax(training: TrainingConfig, rng: np.random.Generator,
 
 
 def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator,
-                    draws: int = 20000,
-                    collision_sizes=range(1, 11)) -> tuple[float, float]:
+                    draws: int = 20000) -> tuple[float, float]:
     """Compensation factor from the measured effective DL power.
 
-    Draws collisions of each size on a single pilot, forms the serving set
-    with the given cap, and averages the normalized precoder's effective
-    per-AP power. Returns (delta, average effective power in mW).
+    Draws collisions of each size in ``COLLISION_SIZES`` on a single pilot,
+    forms the serving set with the given cap, and averages the normalized
+    precoder's effective per-AP power. Returns (delta, average effective power in mW).
     """
-    sizes = list(collision_sizes)
-    per_size = max(1, draws // len(sizes))
+    per_size = max(1, draws // len(COLLISION_SIZES))
     p_tau = config.ul_power_mw * config.num_pilots
     q_values = []
-    for size in sizes:
+    for size in COLLISION_SIZES:
         topo = build_topology(config, rng, num_ues=per_size * size)
         # every draw's UEs share one pilot: its signal power sums their gains
         alpha = p_tau * topo.beta.reshape(per_size, size, config.num_aps).sum(axis=1)

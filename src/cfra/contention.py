@@ -106,7 +106,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
         n_max = members[deciders].sum(axis=1).max(initial=1)
         nearby = -np.sort(-np.where(members[deciders], beta_act[deciders], 0.0), axis=1)[:, :n_max]
         knowledge = knowledge_for(nearby, obs.z[deciders].real, config)
-        alpha_hat[deciders] = estimate(spec.kind, knowledge, config, spec.delta)
+        alpha_hat[deciders] = estimate(spec.kind, knowledge, config)
         if spec.nearby_method == "greedy":
             repeat[deciders] = greedy_flexible_decide(knowledge, spec, config)
         else:

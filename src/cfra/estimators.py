@@ -34,15 +34,12 @@ class EstimatorSpec:
 
     kind: str = "est2"
     nearby_method: str = "fixed"
-    delta: float | None = None  # compensation factor; est3 only, config default if None
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
             raise ValueError(f"unknown estimator kind {self.kind!r}")
         if self.nearby_method not in NEARBY_METHODS:
             raise ValueError(f"unknown nearby method {self.nearby_method!r}")
-        if self.kind == "est3" and self.delta is not None and self.delta < 1.0:
-            raise ValueError("delta must be >= 1")
         if self.kind == "cellular" and self.nearby_method == "greedy":
             raise ValueError("the cellular estimator has no nearby set sizes to sweep")
 
@@ -96,14 +93,14 @@ def _cte(beta: np.ndarray, config: ScenarioConfig) -> np.ndarray:
 # Every estimator below works on one UE or on a batch: gains reduce over the
 # last axis, and squares use np.square so that scalars and arrays round alike.
 
-def _invert(kind: str, cte_sum, re_z, config: ScenarioConfig, delta: float | None = None):
-    """Raw est1 or est3 estimate from ``cte_sum``, a set's summed scaled gain or a running sum."""
+def _invert(kind: str, cte_sum, re_z, config: ScenarioConfig):
+    """Raw est1 or est3 estimate from ``cte_sum``, a set's summed scaled gain or a running sum;
+    est3 compensates with ``config.compensation_factor``."""
     n = config.antennas_per_ap
     if kind == "est1":
         return n * np.square(cte_sum / np.maximum(re_z, eps_z(n))) - config.noise_mw
-    if delta is None:
-        delta = config.compensation_factor
-    return np.square(cte_sum / np.maximum(preprocess_est3(re_z, delta, config), eps_z(n)))
+    rez3 = preprocess_est3(re_z, config.compensation_factor, config)
+    return np.square(cte_sum / np.maximum(rez3, eps_z(n)))
 
 
 def estimate_1(knowledge: UEKnowledge, config: ScenarioConfig):
@@ -138,11 +135,9 @@ def preprocess_est3(re_z, delta: float, config: ScenarioConfig):
     return delta * (re_z - sigma) / np.sqrt(config.antennas_per_ap)
 
 
-def estimate_3(knowledge: UEKnowledge, config: ScenarioConfig,
-               delta: float | None = None):
+def estimate_3(knowledge: UEKnowledge, config: ScenarioConfig):
     """Inversion tailored to the normalized (power-equalized) precoding."""
-    raw = _invert("est3", _cte(knowledge.beta_nearby, config).sum(axis=-1), knowledge.re_z,
-                  config, delta)
+    raw = _invert("est3", _cte(knowledge.beta_nearby, config).sum(axis=-1), knowledge.re_z, config)
     return np.maximum(raw, knowledge.gamma)
 
 
@@ -157,8 +152,7 @@ def estimate_cellular(beta_k, re_z, config: ScenarioConfig):
     return np.maximum(raw, p * tau * beta_k)
 
 
-def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig,
-             delta: float | None = None):
+def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig):
     """Run estimator ``kind`` on ``knowledge``.
 
     ``cellular`` reads the gain toward the one site of the single-BS view,
@@ -171,7 +165,7 @@ def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig,
     if kind == "est2":
         return estimate_2(knowledge, config)
     if kind == "est3":
-        return estimate_3(knowledge, config, delta)
+        return estimate_3(knowledge, config)
     raise ValueError(f"unknown estimator kind {kind!r}")
 
 
@@ -181,13 +175,12 @@ def sucre_decision(gamma: float, alpha_hat: float) -> bool:
     return gamma > alpha_hat / 2.0
 
 
-def _prefix_estimates(kind: str, beta: np.ndarray, re_z, config: ScenarioConfig,
-                      delta: float | None = None) -> np.ndarray:
+def _prefix_estimates(kind: str, beta: np.ndarray, re_z, config: ScenarioConfig) -> np.ndarray:
     """Raw estimate of ``kind`` over every prefix of the gains ``beta`` (..., n),
     from running sums; est2's is N (C_s / Re z)^2 C_s - s sigma^2 over s APs."""
     re_z = np.expand_dims(re_z, -1)
     if kind != "est2":
-        return _invert(kind, np.cumsum(_cte(beta, config), axis=-1), re_z, config, delta)
+        return _invert(kind, np.cumsum(_cte(beta, config), axis=-1), re_z, config)
     n = config.antennas_per_ap
     c_s = np.cumsum(_cte(beta, config) ** (2.0 / 3.0), axis=-1)
     return (n * np.square(c_s / np.maximum(re_z, eps_z(n))) * c_s
@@ -204,5 +197,5 @@ def greedy_flexible_decide(knowledge: UEKnowledge, spec: EstimatorSpec,
     B rows gives B decisions; a zero-padded row repeats its full-set decision.
     """
     gamma_s = config.ul_power_mw * config.num_pilots * np.cumsum(knowledge.beta_nearby, axis=-1)
-    raw = _prefix_estimates(spec.kind, knowledge.beta_nearby, knowledge.re_z, config, spec.delta)
+    raw = _prefix_estimates(spec.kind, knowledge.beta_nearby, knowledge.re_z, config)
     return sucre_decision(gamma_s, np.maximum(raw, gamma_s)).any(axis=-1)

@@ -259,9 +259,9 @@ def bs_topology(config: ScenarioConfig, ue_positions: np.ndarray) -> Topology:
     return Topology(center, np.asarray(ue_positions, dtype=float), config)
 
 
-def limit_distance(config: ScenarioConfig, iota: float = 1.0) -> float:
-    """Radius in meters inside which a UE hears an AP above ``iota`` times the noise."""
-    base = (1.0 / iota) * config.omega_lin * config.dl_power_per_ap_mw / config.noise_mw
+def limit_distance(config: ScenarioConfig) -> float:
+    """Radius in meters inside which a UE hears an AP above the noise."""
+    base = config.omega_lin * config.dl_power_per_ap_mw / config.noise_mw
     return base ** (1.0 / config.pathloss_exponent)
 
 

@@ -1,16 +1,16 @@
 """Experiment sweep orchestration.
 
-A :class:`SweepDescriptor` names one of the four figure classes, the varied
-axis and the trial budget; :func:`run_sweep` executes the points in
-deterministic order and serializes a CSV of :class:`~cfra.metrics.MetricsReport`
-rows plus a JSON run manifest.
+A :class:`SweepDescriptor` names one of the four figure classes, which fixes
+the varied axis, the axis values and the trial budget; :func:`run_sweep`
+executes the points in deterministic order and serializes a CSV of
+:class:`~cfra.metrics.MetricsReport` rows plus a JSON run manifest.
 """
 
 from __future__ import annotations
 
 import json
 import platform
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .analysis import separability_prediction
 from .bench import run_estimator_bench
-from .contention import run_access_campaign
+from .contention import PROTOCOLS, run_access_campaign
 from .estimators import CF_ESTIMATORS, NEARBY_METHODS, EstimatorSpec, best_pair
 from .metrics import MetricsReport, iqr, tcp, write_reports
 from .scenario import ScenarioConfig
@@ -39,10 +39,9 @@ class SweepDescriptor:
 
     figure_class: str
     values: tuple = ()
-    axis: str = ""
     trials: int = 100
     seed: int = 0
-    protocols: tuple = ("bcf", "cf-sucre", "ce-sucre")
+    protocols: tuple = PROTOCOLS
     estimators: tuple = ("est2",)
     nearby_method: str = "fixed"
 
@@ -50,22 +49,21 @@ class SweepDescriptor:
         if self.figure_class not in FIGURE_CLASSES:
             raise ValueError(
                 f"figure_class must be one of {FIGURE_CLASSES}, got {self.figure_class!r}")
-        expected = _AXES[self.figure_class]
-        axis = self.axis or expected
-        if axis != expected:
-            raise ValueError(
-                f"figure_class {self.figure_class!r} sweeps {expected!r}, got axis {self.axis!r}")
-        object.__setattr__(self, "axis", axis)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for proto in self.protocols:
-            if proto not in ("bcf", "cf-sucre", "ce-sucre"):
+            if proto not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {proto!r}")
         for est in self.estimators:
             if est not in CF_ESTIMATORS:
                 raise ValueError(f"unknown estimator {est!r}")
         if self.nearby_method not in NEARBY_METHODS:
             raise ValueError(f"unknown nearby_method {self.nearby_method!r}")
+
+    @property
+    def axis(self) -> str:
+        """The config field this figure class sweeps."""
+        return _AXES[self.figure_class]
 
 
 def bench_point(desc: SweepDescriptor, size: int, kind: str,

@@ -32,14 +32,14 @@ def _report(num: int, ok: bool, detail: str) -> bool:
 
 
 def test_criterion_01_limit_radius():
-    d_lim = limit_distance(ScenarioConfig(), iota=1.0)
+    d_lim = limit_distance(ScenarioConfig())
     ok = abs(d_lim - 73.30) <= 0.05
     assert _report(1, ok, f"d_lim = {d_lim:.3f} m (want 73.30 +/- 0.05)")
 
 
 def test_criterion_02_pathloss_edge():
     cfg = ScenarioConfig()
-    d_lim = limit_distance(cfg, iota=1.0)
+    d_lim = limit_distance(cfg)
     beta_db = float(linear_to_db(pathloss_beta(np.array([d_lim]), cfg))[0])
     ok = abs(beta_db - (-99.0)) <= 1.5
     assert _report(2, ok, f"beta(d_lim) = {beta_db:.2f} dB (want -99 +/- 1.5)")
@@ -47,7 +47,7 @@ def test_criterion_02_pathloss_edge():
 
 def test_criterion_03_neighbor_probability():
     cfg = ScenarioConfig()
-    d_lim = limit_distance(cfg, iota=1.0)
+    d_lim = limit_distance(cfg)
     prob = distance_cdf(2.0 * d_lim, cfg.square_length_m) / cfg.num_pilots
     ok = abs(prob - 0.024) <= 0.005
     assert _report(3, ok, f"(1/tau_p) F(2 d_lim) = {prob:.4f} (want 0.024 +/- 0.005)")

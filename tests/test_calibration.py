@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cfra.calibration import TrainingConfig, calibrate_delta, train_lmax
-from cfra.scenario import ScenarioConfig, build_topology
+from cfra.scenario import ScenarioConfig
 
 
 def _small_cfg(**kw):
@@ -32,12 +32,10 @@ def test_train_lmax_bounds_and_reproducibility():
 
 
 def test_train_lmax_all_idle_raises():
-    cfg = _small_cfg(access_probability=1e-12)
-    rng = np.random.default_rng(1)
-    topo = build_topology(cfg, rng, num_ues=20)
+    cfg = ScenarioConfig(num_inactive_ues=20, access_probability=1e-12)
     training = TrainingConfig(scenario=cfg, rounds=5, repetitions=5)
     with pytest.raises(RuntimeError):
-        train_lmax(training, rng, topology=topo)
+        train_lmax(training, np.random.default_rng(1))
 
 
 def test_calibrate_delta_reproducible_and_sane():

@@ -1,6 +1,8 @@
 """Uplink-power estimators: identities, floors, scalings and the
 closed-form optimality residual."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -24,10 +26,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         EstimatorSpec(nearby_method="psychic")
     with pytest.raises(ValueError):
-        EstimatorSpec(kind="est3", delta=0.5)
-    with pytest.raises(ValueError):
         EstimatorSpec(kind="cellular", nearby_method="greedy")
-    EstimatorSpec(kind="est3", delta=8.0)  # valid
 
 
 def test_best_pairs_table_shape():
@@ -149,8 +148,10 @@ def test_preprocess_est3_delta_scaling():
 def test_est3_uses_config_delta_by_default():
     cfg = ScenarioConfig(compensation_factor=8.0)
     k = knowledge_for(np.array([1e-8, 5e-9]), 1e-4, cfg)
-    assert estimate_3(k, cfg) == estimate_3(k, cfg, delta=8.0)
-    assert estimate_3(k, cfg, delta=4.0) != estimate_3(k, cfg, delta=8.0)
+    halved = replace(cfg, compensation_factor=4.0)
+    # est3 inverts the square of the delta-scaled observation: halving delta quadruples it
+    assert estimate_3(k, halved) == pytest.approx(4.0 * estimate_3(k, cfg), rel=1e-12)
+    assert estimate_3(k, cfg) > k.gamma
 
 
 def test_estimate_dispatch():
@@ -232,7 +233,7 @@ def _per_size_sweep(one: UEKnowledge, spec: EstimatorSpec, cfg) -> bool:
     repeat = False
     for size in range(one.beta_nearby.size, 0, -1):
         sub = knowledge_for(one.beta_nearby[:size], one.re_z, cfg)
-        repeat |= bool(sucre_decision(sub.gamma, estimate(spec.kind, sub, cfg, spec.delta)))
+        repeat |= bool(sucre_decision(sub.gamma, estimate(spec.kind, sub, cfg)))
     return repeat
 
 

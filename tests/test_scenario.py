@@ -120,20 +120,13 @@ def test_ap_grid_rejects_non_square():
 def test_pathloss_reference_values():
     cfg = ScenarioConfig()
     # limit radius of the reference scenario and its edge gain
-    d_lim = limit_distance(cfg, iota=1.0)
+    d_lim = limit_distance(cfg)
     assert d_lim == pytest.approx(73.30, abs=0.05)
     beta_db = linear_to_db(pathloss_beta(np.array([d_lim]), cfg))[0]
     assert beta_db == pytest.approx(-99.0, abs=1.5)
     # at the limit radius the received DL power meets the noise floor
     assert cfg.dl_power_per_ap_mw * db_to_linear(beta_db) == pytest.approx(
         cfg.noise_mw, rel=1e-9)
-
-
-def test_limit_distance_iota_scaling():
-    cfg = ScenarioConfig()
-    d1 = limit_distance(cfg, iota=1.0)
-    d2 = limit_distance(cfg, iota=2.0)
-    assert d2 == pytest.approx(d1 * 2.0 ** (-1.0 / cfg.pathloss_exponent))
 
 
 def test_distance_clamp():

@@ -15,8 +15,6 @@ def test_descriptor_validation():
     with pytest.raises(ValueError):
         SweepDescriptor(figure_class="mystery")
     with pytest.raises(ValueError):
-        SweepDescriptor(figure_class="anaa-sweep", axis="collision_size")
-    with pytest.raises(ValueError):
         SweepDescriptor(figure_class="anaa-sweep", trials=0)
     with pytest.raises(ValueError):
         SweepDescriptor(figure_class="anaa-sweep", protocols=("lte",))
