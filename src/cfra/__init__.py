@@ -24,12 +24,11 @@ from .contention import (PROTOCOLS, AttemptOutcome, CampaignResult,
                          spatial_separability_admit)
 from .estimators import (BEST_PAIRS, CF_ESTIMATORS, ESTIMATOR_KINDS,
                          NEARBY_METHODS, EstimatorSpec, UEKnowledge,
-                         best_pair, cpu_alpha_hat, estimate, estimate_1, estimate_2,
-                         estimate_2_per_ap, estimate_3, estimate_cellular,
-                         greedy_flexible_decide, knowledge_for,
-                         preprocess_est3, sucre_decision)
+                         best_pair, cpu_alpha_hat, estimate, estimate_2_per_ap,
+                         estimate_cellular, greedy_flexible_decide, knowledge_for,
+                         sucre_decision)
 from .metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
-                      write_reports)
+                      write_reports, write_table)
 from .scenario import (ScenarioConfig, Topology, ap_grid, bs_topology,
                        build_topology, db_to_linear, limit_distance,
                        linear_to_db, load_config, natural_sets, pathloss_beta)

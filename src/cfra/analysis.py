@@ -19,36 +19,29 @@ _EDGE_TOL = 1e-9
 _LENS_MOMENTS = (math.pi / 16.0, 4.0 / 45.0, math.pi / 64.0)
 
 
-def _g(z: float, d: float, span: float) -> float:
-    """Piecewise antiderivative used by the distance CDF."""
-    root = math.sqrt(max(d * d - z * z, 0.0))
-    term1 = (span / 3.0) * root * (z * (3.0 * span - 2.0 * z) + 2.0 * d * d)
-    term2 = span * span * d * d * math.atan2(z, root)
-    return term1 + term2 - span * d * d * z + span * z ** 3 / 3.0 \
-        + span * span * z * z / 2.0 - z ** 4 / 4.0
-
-
-def distance_cdf(d: float, side: float) -> float:
-    """Model CDF of the distance between two uniform points on the square.
-
-    The closed form is normalized over the full difference-coordinate range
-    2*side (each coordinate difference spans [-side, side]). Every argument
-    in [0, sqrt(2)*side] lies below 2*side, so only the short-range branch
-    of the piecewise form applies.
-    """
-    if d < -_EDGE_TOL or d > _SQRT2 * side + _EDGE_TOL:
-        raise ValueError(f"distance {d} outside [0, sqrt(2)*{side}]")
-    d = min(max(d, 0.0), _SQRT2 * side)
-    span = 2.0 * side
-    val = (2.0 / span ** 4) * (_g(d, d, span) - _g(0.0, d, span))
-    return min(max(val, 0.0), 1.0)
-
-
 def _pdf_polynomial(side: float) -> tuple[float, tuple[float, float, float]]:
     """Scale 2/s^4 and coefficients c_1, c_2, c_3 of the short-range density
     (2/s^4) * sum_n c_n d^n, with s = 2*side."""
     span = 2.0 * side
     return 2.0 / span ** 4, ((1.0 + math.pi) * span ** 2, -4.0 * span, -1.0)
+
+
+def distance_cdf(d: float, side: float) -> float:
+    """Model CDF of the distance between two uniform points on the square.
+
+    The integral from 0 to ``d`` of the density polynomial of
+    :func:`distance_pdf`, (2/s^4) * sum_n c_n d^(n+1) / (n+1). The closed
+    form is normalized over the full difference-coordinate range s = 2*side
+    (each coordinate difference spans [-side, side]). Every argument in
+    [0, sqrt(2)*side] lies below 2*side, where this polynomial branch of
+    the piecewise law holds.
+    """
+    if d < -_EDGE_TOL or d > _SQRT2 * side + _EDGE_TOL:
+        raise ValueError(f"distance {d} outside [0, sqrt(2)*{side}]")
+    d = min(max(d, 0.0), _SQRT2 * side)
+    scale, coeffs = _pdf_polynomial(side)
+    val = scale * sum(c * d ** (n + 1) / (n + 1) for n, c in enumerate(coeffs, start=1))
+    return min(max(val, 0.0), 1.0)
 
 
 def distance_pdf(d: float, side: float) -> float:

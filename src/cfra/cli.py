@@ -2,17 +2,14 @@
 
 Subcommands: simulate (one access campaign), sweep (figure-class
 reproduction), analyze (closed-form separability curves), train-lmax,
-calibrate-delta, estimators-bench. Common flags: --config, --seed,
---trials, --out, --format.
+calibrate-delta, estimators-bench. Each takes --config, --out and
+--format; --seed and --trials only where it reads them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +18,25 @@ from .analysis import separability_prediction
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .contention import PROTOCOLS, run_access_campaign
 from .estimators import ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec
+from .metrics import write_reports, write_table
 from .scenario import ScenarioConfig, load_config
 from .sweeps import FIGURE_CLASSES, SweepDescriptor, bench_point, run_sweep, write_outputs
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="flat key = value scenario file")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+def _count(text: str) -> int:
+    """A count flag's value: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _whole(text: str) -> float:
+    """A UE count or sweep value: a whole number in any float notation (1e4)."""
+    value = float(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number")
+    return value
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -41,56 +45,52 @@ def _load_scenario(args) -> ScenarioConfig:
     return load_config(args.config)
 
 
-def _emit(rows: list[dict], path: Path, fmt: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        path.write_text(json.dumps(rows, indent=2) + "\n")
-        return
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfra",
         description="Grant-based random access simulator for cell-free networks")
     sub = parser.add_subparsers(dest="command", required=True)
+    # flag groups; each subcommand takes the groups whose flags it reads
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--config", type=Path, default=None,
+                       help="flat key = value scenario file")
+    files.add_argument("--out", type=Path, default=Path("."), help="output directory")
+    files.add_argument("--format", choices=("csv", "json"), default="csv")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    trials = argparse.ArgumentParser(add_help=False)
+    trials.add_argument("--trials", type=_count, default=100)
 
-    p = sub.add_parser("simulate", help="run access campaigns for one protocol")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[files, seed, trials],
+                       help="run access campaigns for one protocol")
     p.add_argument("--protocol", choices=PROTOCOLS, default="cf-sucre")
     p.add_argument("--estimator", choices=ESTIMATOR_KINDS, default="est2")
     p.add_argument("--nearby-method", choices=NEARBY_METHODS, default="fixed")
 
-    p = sub.add_parser("sweep", help="reproduce a figure class")
-    _add_common(p)
+    p = sub.add_parser("sweep", parents=[files, seed, trials], help="reproduce a figure class")
     p.add_argument("--figure-class", choices=FIGURE_CLASSES, required=True)
-    p.add_argument("--values", type=float, nargs="+", required=True,
+    p.add_argument("--values", type=_whole, nargs="+", required=True,
                    help="sweep axis values")
     p.add_argument("--protocols", nargs="+", default=["bcf", "cf-sucre", "ce-sucre"])
     p.add_argument("--estimators", nargs="+", default=["est2"])
     p.add_argument("--nearby-method", choices=NEARBY_METHODS, default="fixed")
 
-    p = sub.add_parser("analyze", help="closed-form separability curve")
-    _add_common(p)
-    p.add_argument("--num-ues", type=float, nargs="+",
+    p = sub.add_parser("analyze", parents=[files], help="closed-form separability curve")
+    p.add_argument("--num-ues", type=_whole, nargs="+",
                    default=[1e3, 2e3, 5e3, 1e4], help="inactive-UE counts")
 
-    p = sub.add_parser("train-lmax", help="train the serving-set cap")
-    _add_common(p)
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--repetitions", type=int, default=100)
+    p = sub.add_parser("train-lmax", parents=[files, seed], help="train the serving-set cap")
+    p.add_argument("--rounds", type=_count, default=100)
+    p.add_argument("--repetitions", type=_count, default=100)
 
-    p = sub.add_parser("calibrate-delta", help="measure the compensation factor")
-    _add_common(p)
-    p.add_argument("--l-max", type=int, default=None,
+    p = sub.add_parser("calibrate-delta", parents=[files, seed],
+                       help="measure the compensation factor")
+    p.add_argument("--l-max", type=_count, default=None,
                    help="serving cap during calibration (default: all APs)")
-    p.add_argument("--draws", type=int, default=20000)
+    p.add_argument("--draws", type=_count, default=20000)
 
-    p = sub.add_parser("estimators-bench", help="NMSE/NEB of the estimators")
-    _add_common(p)
+    p = sub.add_parser("estimators-bench", parents=[files, seed, trials],
+                       help="NMSE/NEB of the estimators")
     p.add_argument("--collision-sizes", type=int, nargs="+",
                    default=list(range(1, 11)))
     p.add_argument("--estimators", nargs="+",
@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
             "cohort_size": int(result.attempts.size),
             "l_bar": result.l_bar, "tau_bar": result.tau_bar,
         })
-    _emit(rows, args.out / f"simulate.{args.format}", args.format)
+    write_table(rows, args.out / f"simulate.{args.format}", list(rows[0]))
     finite = [r["anaa"] for r in rows if np.isfinite(r["anaa"])]
     mean = float(np.mean(finite)) if finite else float("nan")
     print(f"{args.protocol}: mean ANAA {mean:.3f} over {len(finite)} non-empty campaigns")
@@ -129,13 +129,11 @@ def _cmd_sweep(args) -> int:
         protocols=tuple(args.protocols), estimators=tuple(args.estimators),
         nearby_method=args.nearby_method)
     reports = run_sweep(desc, config)
-    csv_path, manifest_path = write_outputs(desc, config, reports, args.out)
-    if args.format == "json":
-        json_path = args.out / f"{desc.figure_class}.json"
-        json_path.write_text(json.dumps([asdict(r) for r in reports], indent=2) + "\n")
-        print(f"wrote {json_path} and {manifest_path}")
-    else:
-        print(f"wrote {csv_path} and {manifest_path}")
+    table_path, manifest_path = write_outputs(desc, config, reports, args.out)
+    if args.format == "json":      # the CSV is always written; json adds the same rows
+        table_path = args.out / f"{desc.figure_class}.json"
+        write_reports(reports, table_path)
+    print(f"wrote {table_path} and {manifest_path}")
     return 0
 
 
@@ -151,7 +149,7 @@ def _cmd_analyze(args) -> int:
             "d_lim_m": pred.d_lim,
             "avg_collision_size": pred.avg_collision_size,
         })
-    _emit(rows, args.out / f"analyze.{args.format}", args.format)
+    write_table(rows, args.out / f"analyze.{args.format}", list(rows[0]))
     for row in rows:
         print(f"|U|={row['num_inactive_ues']}: psi={row['psi']:.4f} "
               f"exclusive APs={row['exclusive_aps']:.3f}")
@@ -166,7 +164,7 @@ def _cmd_train_lmax(args) -> int:
     l_max, trace = train_lmax(training, rng)
     rows = [{"round": i, "mean_serving_count": v} for i, v in enumerate(trace)]
     rows.append({"round": "result", "mean_serving_count": l_max})
-    _emit(rows, args.out / f"train-lmax.{args.format}", args.format)
+    write_table(rows, args.out / f"train-lmax.{args.format}", list(rows[0]))
     print(f"trained serving cap: {l_max} (over {len(trace)} non-empty rounds)")
     return 0
 
@@ -177,7 +175,7 @@ def _cmd_calibrate_delta(args) -> int:
     l_max = config.num_aps if args.l_max is None else args.l_max
     delta, q_avg = calibrate_delta(config, l_max, rng, draws=args.draws)
     rows = [{"delta": delta, "q_avg_mw": q_avg, "l_max": l_max, "draws": args.draws}]
-    _emit(rows, args.out / f"calibrate-delta.{args.format}", args.format)
+    write_table(rows, args.out / f"calibrate-delta.{args.format}", list(rows[0]))
     print(f"delta = {delta:.3f} (average effective DL power {q_avg:.4f} mW)")
     return 0
 
@@ -188,13 +186,12 @@ def _cmd_estimators_bench(args) -> int:
     desc = SweepDescriptor(figure_class="estimator-bench",
                            values=tuple(args.collision_sizes),
                            trials=args.trials, seed=args.seed)
-    rows = []
+    reports = []
     for size in args.collision_sizes:
         for kind in args.estimators:
-            report = bench_point(desc, size, kind, config, rng)
-            rows.append(asdict(report))
-            print(f"|S_t|={size} {kind}: NMSE median {report.nmse_median:.4g}")
-    _emit(rows, args.out / f"estimators-bench.{args.format}", args.format)
+            reports.append(bench_point(desc, size, kind, config, rng))
+            print(f"|S_t|={size} {kind}: NMSE median {reports[-1].nmse_median:.4g}")
+    write_reports(reports, args.out / f"estimators-bench.{args.format}")
     return 0
 
 

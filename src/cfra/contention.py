@@ -154,9 +154,8 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
     n_ues = topology.ue_positions.shape[0]
 
     attempts = np.zeros(n_ues, dtype=int)
-    resolved = np.zeros(n_ues, dtype=bool)      # admitted or gave up
     succeeded = np.zeros(n_ues, dtype=bool)
-    in_progress = np.zeros(n_ues, dtype=bool)
+    in_progress = np.zeros(n_ues, dtype=bool)   # active and neither admitted nor given up
     ever_active = np.zeros(n_ues, dtype=bool)
 
     cohort = np.sort(activate(np.arange(n_ues), config.access_probability, rng))
@@ -168,7 +167,7 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
     q_eff_blocks = blocks = 0
 
     for block in range(MAX_CAMPAIGN_BLOCKS):
-        if resolved[cohort].all():      # an empty cohort is resolved at once
+        if not in_progress[cohort].any():   # an empty cohort is resolved at once
             break
         if block > 0:
             newly = activate(np.flatnonzero(~ever_active), config.access_probability, rng)
@@ -185,11 +184,8 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
         out = run_attempt(protocol, spec, topology, go, config, rng)
         attempts[go] += 1
         succeeded[out.admitted] = True
-        resolved[out.admitted] = True
         in_progress[out.admitted] = False
-        exhausted = go[(attempts[go] >= config.max_attempts) & ~succeeded[go]]
-        resolved[exhausted] = True
-        in_progress[exhausted] = False
+        in_progress[go[attempts[go] >= config.max_attempts]] = False    # gave up
 
         blocks += 1
         tau_pl_sum += out.served_active_per_ap
@@ -207,5 +203,5 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
         tau_bar=tau_sum / blocks if blocks else 0.0,
         l_bar=l_sum / blocks if blocks else 0.0,
         q_eff_mw=q_eff_sum / q_eff_blocks if q_eff_blocks else float("nan"),
-        blocks=blocks, truncated=not resolved[cohort].all(),
+        blocks=blocks, truncated=bool(in_progress[cohort].any()),
     )

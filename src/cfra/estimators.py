@@ -94,19 +94,16 @@ def _cte(beta: np.ndarray, config: ScenarioConfig) -> np.ndarray:
 # last axis, and squares use np.square so that scalars and arrays round alike.
 
 def _invert(kind: str, cte_sum, re_z, config: ScenarioConfig):
-    """Raw est1 or est3 estimate from ``cte_sum``, a set's summed scaled gain or a running sum;
-    est3 compensates with ``config.compensation_factor``."""
+    """Raw est1 or est3 estimate from ``cte_sum``, a set's summed scaled gain or a running sum.
+
+    est3 inverts the compensated, noise-offset rescaling of the observation,
+    delta (Re z - sigma) / sqrt(N), with delta = ``config.compensation_factor``.
+    """
     n = config.antennas_per_ap
     if kind == "est1":
         return n * np.square(cte_sum / np.maximum(re_z, eps_z(n))) - config.noise_mw
-    rez3 = preprocess_est3(re_z, config.compensation_factor, config)
+    rez3 = config.compensation_factor * (re_z - np.sqrt(config.noise_mw)) / np.sqrt(n)
     return np.square(cte_sum / np.maximum(rez3, eps_z(n)))
-
-
-def estimate_1(knowledge: UEKnowledge, config: ScenarioConfig):
-    """Equal-power-per-AP inversion of the downlink observation."""
-    raw = _invert("est1", _cte(knowledge.beta_nearby, config).sum(axis=-1), knowledge.re_z, config)
-    return np.maximum(raw, knowledge.gamma)
 
 
 def estimate_2_per_ap(beta: np.ndarray, re_z, config: ScenarioConfig) -> np.ndarray:
@@ -119,26 +116,9 @@ def estimate_2_per_ap(beta: np.ndarray, re_z, config: ScenarioConfig) -> np.ndar
     return np.where(cte23 > 0.0, np.expand_dims(factor, -1) * cte23 - config.noise_mw, 0.0)
 
 
-def estimate_2(knowledge: UEKnowledge, config: ScenarioConfig):
-    raw = estimate_2_per_ap(knowledge.beta_nearby, knowledge.re_z, config).sum(axis=-1)
-    return np.maximum(raw, knowledge.gamma)
-
-
 def cpu_alpha_hat(activity: np.ndarray, noise_mw: float) -> np.ndarray:
     """CPU-side per-pilot aggregate of above-noise activity: (..., T, L) -> (..., T)."""
     return np.maximum(activity - noise_mw, 0.0).sum(axis=-1)
-
-
-def preprocess_est3(re_z, delta: float, config: ScenarioConfig):
-    """Compensated, noise-offset rescaling of the observation."""
-    sigma = np.sqrt(config.noise_mw)
-    return delta * (re_z - sigma) / np.sqrt(config.antennas_per_ap)
-
-
-def estimate_3(knowledge: UEKnowledge, config: ScenarioConfig):
-    """Inversion tailored to the normalized (power-equalized) precoding."""
-    raw = _invert("est3", _cte(knowledge.beta_nearby, config).sum(axis=-1), knowledge.re_z, config)
-    return np.maximum(raw, knowledge.gamma)
 
 
 def estimate_cellular(beta_k, re_z, config: ScenarioConfig):
@@ -153,20 +133,23 @@ def estimate_cellular(beta_k, re_z, config: ScenarioConfig):
 
 
 def estimate(kind: str, knowledge: UEKnowledge, config: ScenarioConfig):
-    """Run estimator ``kind`` on ``knowledge``.
+    """Run estimator ``kind`` on ``knowledge``, floored at the UE's own power.
 
-    ``cellular`` reads the gain toward the one site of the single-BS view,
-    the first (and only) nearby gain.
+    est1 inverts the observation assuming equal power per AP, est2 sums the
+    closed-form per-AP split, and est3 is the inversion tailored to the
+    normalized (power-equalized) precoding. ``cellular`` reads the gain
+    toward the one site of the single-BS view, the first (and only) nearby gain.
     """
+    beta, re_z = knowledge.beta_nearby, knowledge.re_z
     if kind == "cellular":
-        return estimate_cellular(knowledge.beta_nearby[..., 0], knowledge.re_z, config)
-    if kind == "est1":
-        return estimate_1(knowledge, config)
+        return estimate_cellular(beta[..., 0], re_z, config)
     if kind == "est2":
-        return estimate_2(knowledge, config)
-    if kind == "est3":
-        return estimate_3(knowledge, config)
-    raise ValueError(f"unknown estimator kind {kind!r}")
+        raw = estimate_2_per_ap(beta, re_z, config).sum(axis=-1)
+    elif kind in ("est1", "est3"):
+        raw = _invert(kind, _cte(beta, config).sum(axis=-1), re_z, config)
+    else:
+        raise ValueError(f"unknown estimator kind {kind!r}")
+    return np.maximum(raw, knowledge.gamma)
 
 
 def sucre_decision(gamma: float, alpha_hat: float) -> bool:

@@ -1,13 +1,15 @@
-"""Evaluation metrics and the CSV report format."""
+"""Evaluation metrics and the one table writer, CSV or JSON."""
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, fields
+import json
+from dataclasses import asdict, dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, parse_field
 
 
 def iqr(values) -> float:
@@ -38,7 +40,7 @@ def tcp(protocol: str, anaa: float, config: ScenarioConfig,
 
 @dataclass
 class MetricsReport:
-    """One sweep point's results; serializes to one CSV row."""
+    """One sweep point's results; one row of a report table."""
 
     sweep_axis: str
     sweep_value: float
@@ -55,42 +57,35 @@ class MetricsReport:
     trials: int = 0     # campaigns that gave an ANAA, or bench setups; 0 when closed-form
     seed: int = 0
 
-    def to_row(self) -> list[str]:
-        out = []
-        for name in CSV_COLUMNS:
-            value = getattr(self, name)
-            out.append(repr(value) if isinstance(value, float) else str(value))
-        return out
-
-    @classmethod
-    def from_row(cls, row: list[str]) -> "MetricsReport":
-        kwargs = {}
-        types = {f.name: f.type for f in fields(cls)}
-        for name, raw in zip(CSV_COLUMNS, row):
-            if types[name] == "int":
-                kwargs[name] = int(raw)
-            elif types[name] == "float":
-                kwargs[name] = float(raw)
-            else:
-                kwargs[name] = raw
-        return cls(**kwargs)
-
 
 CSV_COLUMNS = [f.name for f in fields(MetricsReport)]
 
 
-def write_reports(reports, path) -> None:
+def write_table(rows: list[dict], path, columns) -> None:
+    """Write ``rows`` to ``path``: a JSON list if it ends in ``.json``, else CSV.
+
+    The CSV header is ``columns``, so an empty table still has one; floats
+    are written in their shortest round-trip form and read back bit-exact.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    if path.suffix == ".json":
+        path.write_text(json.dumps(rows, indent=2) + "\n")
+        return
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for report in reports:
-            writer.writerow(report.to_row())
+        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def write_reports(reports, path) -> None:
+    write_table([asdict(r) for r in reports], path, CSV_COLUMNS)
 
 
 def read_reports(path) -> list[MetricsReport]:
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header: {header}")
-        return [MetricsReport.from_row(row) for row in reader]
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != CSV_COLUMNS:
+            raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
+        return [MetricsReport(**{f.name: parse_field(f, row[f.name])
+                                 for f in fields(MetricsReport)}) for row in reader]

@@ -7,7 +7,7 @@ appear at the configuration and reporting boundaries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import Field, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -103,16 +103,19 @@ class ScenarioConfig:
                        dl_power_per_ap_mw=self.bs_dl_power_mw, num_aps=1, l_max=1)
 
 
-_INT_FIELDS = {
-    "num_pilots", "num_aps", "antennas_per_ap", "num_inactive_ues",
-    "bs_antennas", "max_attempts", "l_max",
-}
+# the field annotations are strings (postponed evaluation), so map them by name
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
-def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
-    """Read a flat ``key = value`` config file; overrides take precedence."""
-    values: dict = {}
-    known = {f.name for f in fields(ScenarioConfig)}
+def parse_field(field: Field, text: str):
+    """``text`` parsed as the type annotated on the dataclass ``field``."""
+    return _PARSERS[field.type](text)
+
+
+def load_config(path) -> ScenarioConfig:
+    """Read a flat ``key = value`` config file; each value takes its field's type."""
+    known = {f.name: f for f in fields(ScenarioConfig)}
+    values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,16 +126,8 @@ def load_config(path, overrides: dict | None = None) -> ScenarioConfig:
         key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = val.strip()
-    if overrides:
-        values.update(overrides)
-    typed = {}
-    for key, val in values.items():
-        if isinstance(val, str):
-            typed[key] = int(val) if key in _INT_FIELDS else float(val)
-        else:
-            typed[key] = val
-    return ScenarioConfig(**typed)
+        values[key] = parse_field(known[key], val.strip())
+    return ScenarioConfig(**values)
 
 
 class Topology:

@@ -19,7 +19,7 @@ from cfra.bench import run_estimator_bench
 from cfra.calibration import calibrate_delta
 from cfra.channel import pilot_activity
 from cfra.contention import run_access_campaign, run_attempt
-from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate_1, estimate_2,
+from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate,
                              estimate_2_per_ap, estimate_cellular, knowledge_for)
 from cfra.metrics import CSV_COLUMNS, MetricsReport, read_reports, tcp, write_reports
 from cfra.scenario import (ScenarioConfig, build_topology, limit_distance,
@@ -134,7 +134,7 @@ def test_criterion_08_cellular_reduction():
         rez = 10.0 ** rng.uniform(-6, -2)
         k = knowledge_for(np.array([beta]), rez, reduced)
         cell = estimate_cellular(beta, rez, cfg)
-        for est in (estimate_1(k, reduced), estimate_2(k, reduced)):
+        for est in (estimate("est1", k, reduced), estimate("est2", k, reduced)):
             worst = max(worst, abs(est - cell) / cell)
     ok = worst < 1e-12
     assert _report(8, ok, f"worst relative deviation = {worst:.2e} (want ~0)")

@@ -2,12 +2,18 @@
 
 import csv
 import json
+import os
+import shlex
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cfra.cli import main
+import cfra
+from cfra.cli import build_parser, main
 from cfra.metrics import read_reports
 from cfra.scenario import ScenarioConfig
 from cfra.sweeps import SweepDescriptor, bench_point
@@ -35,7 +41,7 @@ def test_analyze_csv(tmp_path):
 
 def test_analyze_json(tmp_path):
     assert main(["analyze", "--out", str(tmp_path), "--format", "json",
-                 "--num-ues", "2000"]) == 0
+                 "--num-ues", "2e3"]) == 0
     rows = json.loads((tmp_path / "analyze.json").read_text())
     assert rows[0]["num_inactive_ues"] == 2000
 
@@ -129,3 +135,58 @@ def test_missing_config_exit_code(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    """Every ``cfra ...`` line of the README's CLI block uses flags the parser declares."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## CLI", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("cfra ")]
+    assert len(commands) == 6
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_simulate_zero_trials_is_a_usage_error():
+    """A count flag of 0 stops at the parser, with a message and no traceback."""
+    src = str(Path(cfra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-m", "cfra.cli", "simulate", "--trials", "0"],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode != 0
+    assert "error:" in out.stderr and "--trials" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--trials", "5"],
+    ["analyze", "--seed", "1"],
+    ["train-lmax", "--trials", "5"],
+    ["calibrate-delta", "--trials", "5"],
+    ["sweep", "--figure-class", "separability", "--values", "1000.5"],
+    ["analyze", "--num-ues", "2500.5"],
+    ["calibrate-delta", "--draws", "0"],
+])
+def test_parser_rejects_unread_or_invalid_flags(argv, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_sweep_json_holds_the_csv_rows(tmp_path, small_cfg):
+    assert main(["sweep", "--config", str(small_cfg), "--out", str(tmp_path),
+                 "--figure-class", "anaa-sweep", "--values", "200", "2e2",
+                 "--protocols", "bcf", "cf-sucre", "--trials", "2", "--seed", "5",
+                 "--format", "json"]) == 0
+    from_json = json.loads((tmp_path / "anaa-sweep.json").read_text())
+    from_csv = [asdict(r) for r in read_reports(tmp_path / "anaa-sweep.csv")]
+    assert len(from_json) == len(from_csv) == 4
+    for got, want in zip(from_json, from_csv):
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name] == value or (value != value and got[name] != got[name]), name

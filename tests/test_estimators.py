@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 
 from cfra.estimators import (BEST_PAIRS, EstimatorSpec, UEKnowledge, _prefix_estimates,
-                             best_pair, cpu_alpha_hat, eps_z, estimate, estimate_1,
-                             estimate_2, estimate_2_per_ap, estimate_3,
-                             estimate_cellular, greedy_flexible_decide,
-                             knowledge_for, preprocess_est3, sucre_decision)
+                             best_pair, cpu_alpha_hat, eps_z, estimate,
+                             estimate_2_per_ap, estimate_cellular, greedy_flexible_decide,
+                             knowledge_for, sucre_decision)
 from cfra.scenario import ScenarioConfig
 
 
@@ -83,7 +82,7 @@ def test_est1_equals_est2_single_ap():
     rng = np.random.default_rng(1)
     for _ in range(200):
         k = _knowledge(rng, cfg, size=1)
-        assert estimate_1(k, cfg) == pytest.approx(estimate_2(k, cfg), rel=1e-12)
+        assert estimate("est1", k, cfg) == pytest.approx(estimate("est2", k, cfg), rel=1e-12)
 
 
 def test_theorem_residual():
@@ -120,8 +119,8 @@ def test_cellular_reduction():
         rez = 10.0 ** rng.uniform(-6, -2)
         k = knowledge_for(np.array([beta]), rez, reduced)
         cell = estimate_cellular(beta, rez, cfg)
-        assert estimate_1(k, reduced) == pytest.approx(cell, rel=1e-12)
-        assert estimate_2(k, reduced) == pytest.approx(cell, rel=1e-12)
+        assert estimate("est1", k, reduced) == pytest.approx(cell, rel=1e-12)
+        assert estimate("est2", k, reduced) == pytest.approx(cell, rel=1e-12)
 
 
 def test_cpu_alpha_hat():
@@ -137,27 +136,21 @@ def test_cpu_alpha_hat():
         assert np.array_equal(out[d], cpu_alpha_hat(stacked[d], noise))
 
 
-def test_preprocess_est3_delta_scaling():
-    cfg = ScenarioConfig()
-    rez = 1e-3
-    one = preprocess_est3(rez, 1.0, cfg)
-    eight = preprocess_est3(rez, 8.0, cfg)
-    assert eight == pytest.approx(8.0 * one)
-
-
 def test_est3_uses_config_delta_by_default():
     cfg = ScenarioConfig(compensation_factor=8.0)
     k = knowledge_for(np.array([1e-8, 5e-9]), 1e-4, cfg)
     halved = replace(cfg, compensation_factor=4.0)
     # est3 inverts the square of the delta-scaled observation: halving delta quadruples it
-    assert estimate_3(k, halved) == pytest.approx(4.0 * estimate_3(k, cfg), rel=1e-12)
-    assert estimate_3(k, cfg) > k.gamma
+    assert estimate("est3", k, halved) == pytest.approx(4.0 * estimate("est3", k, cfg), rel=1e-12)
+    assert estimate("est3", k, cfg) > k.gamma
 
 
 def test_estimate_dispatch():
     cfg = ScenarioConfig()
     k = knowledge_for(np.array([1e-9]), 1e-3, cfg)
-    assert estimate("est1", k, cfg) == estimate_1(k, cfg)
+    cte = np.sqrt(cfg.dl_power_per_ap_mw * cfg.ul_power_mw) * cfg.num_pilots * 1e-9
+    assert estimate("est1", k, cfg) == max(
+        cfg.antennas_per_ap * (cte / 1e-3) ** 2 - cfg.noise_mw, k.gamma)
     assert estimate("cellular", k, cfg) == estimate_cellular(1e-9, 1e-3, cfg)
     batch = knowledge_for(np.array([[1e-9], [2e-9]]), np.array([1e-3, -1.0]), cfg)
     assert np.array_equal(estimate("cellular", batch, cfg),
@@ -290,4 +283,5 @@ def test_est2_ignores_zero_padding():
         padded = knowledge_for(beta[b], rez[b], cfg)
         bare = knowledge_for(beta[b, :n], rez[b], cfg)
         assert (estimate_2_per_ap(beta[b], rez[b], cfg)[n:] == 0.0).all()
-        assert estimate_2(padded, cfg) == pytest.approx(estimate_2(bare, cfg), rel=1e-12)
+        assert estimate("est2", padded, cfg) == pytest.approx(estimate("est2", bare, cfg),
+                                                              rel=1e-12)
