@@ -8,7 +8,6 @@ produces each colliding UE's scalar observation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,11 +23,6 @@ class ServingSets:
     mask: np.ndarray    # (..., T, L) bool, mask[..., t, l] iff AP l serves pilot t
     order: np.ndarray   # (..., T, L) APs by descending activity, ties to the lower index
     size: np.ndarray    # (..., T) serving APs per pilot: the first ``size`` of ``order``
-
-    @cached_property
-    def operative_aps(self) -> np.ndarray:
-        """APs serving at least one pilot of a single (T, L) draw."""
-        return np.flatnonzero(self.mask.any(axis=-2))
 
 
 def build_serving_sets(activity: np.ndarray, l_max: int, noise_mw: float) -> ServingSets:

@@ -73,9 +73,12 @@ def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator
 
     Draws collisions of each size in ``COLLISION_SIZES`` on a single pilot,
     forms the serving set with the given cap, and averages the normalized
-    precoder's effective per-AP power. Returns (delta, average effective power in mW).
+    precoder's effective per-AP power; ``draws`` is split evenly over the
+    sizes. Returns (delta, average effective power in mW).
     """
-    per_size = max(1, draws // len(COLLISION_SIZES))
+    if draws < 1 or draws % len(COLLISION_SIZES):
+        raise ValueError(f"draws must be a positive multiple of {len(COLLISION_SIZES)}: {draws}")
+    per_size = draws // len(COLLISION_SIZES)
     p_tau = config.ul_power_mw * config.num_pilots
     q_values = []
     for size in COLLISION_SIZES:

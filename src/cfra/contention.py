@@ -52,23 +52,23 @@ class AttemptOutcome:
 
 
 def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
-                active_ues, config: ScenarioConfig,
-                rng: np.random.Generator) -> AttemptOutcome:
+                active_ues, rng: np.random.Generator) -> AttemptOutcome:
     """One coherence block of the chosen protocol for the given active UEs.
 
-    ce-sucre runs the same steps on the single-BS view (``topology.bs_view``
-    with ``config.bs_config``): its one M-antenna site lies in every UE's
-    influence region, so separability admits a winner exactly when it
-    repeats alone on its pilot.
+    The scenario constants are ``topology.config``; ce-sucre runs the same
+    steps on the single-BS view (``topology.bs_view``, carrying ``bs_config``):
+    its one M-antenna site lies in every UE's influence region, so
+    separability admits a winner exactly when it repeats alone on its pilot.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "ce-sucre":
         if spec.kind != "cellular":
             raise ValueError("ce-sucre requires the cellular estimator")
-        topology, config = topology.bs_view, config.bs_config
+        topology = topology.bs_view
     elif protocol == "cf-sucre" and spec.kind == "cellular":
         raise ValueError("the cellular estimator only applies to ce-sucre")
+    config = topology.config
 
     active = np.asarray(active_ues, dtype=np.intp)
     beta_act = topology.gains(active)                   # (K, L)
@@ -83,7 +83,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     alpha_true = np.where(serving.mask, alpha_lt, 0.0).sum(axis=1)
     used = np.zeros(config.num_pilots, dtype=bool)
     used[pilots] = True
-    served_active = (serving.mask & used[:, None]).sum(axis=0)[serving.operative_aps]
+    served_active = (serving.mask & used[:, None]).sum(axis=0)[serving.mask.any(axis=0)]
 
     # bcf has no RA response or decision: every colliding UE is a winner
     repeat = np.full(active.size, protocol == "bcf")
@@ -147,20 +147,20 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
 
     Failed UEs retry with the configured coin flip; fresh activations join
     every block so contention pressure stays stationary. Only the cohort is
-    tracked for attempt statistics.
+    tracked for attempt statistics. A given ``topology`` must carry ``config``.
     """
     if topology is None:
         topology = build_topology(config, rng)
+    elif topology.config != config:
+        raise ValueError("the topology was built for a different config")
     n_ues = topology.ue_positions.shape[0]
 
     attempts = np.zeros(n_ues, dtype=int)
     succeeded = np.zeros(n_ues, dtype=bool)
     in_progress = np.zeros(n_ues, dtype=bool)   # active and neither admitted nor given up
-    ever_active = np.zeros(n_ues, dtype=bool)
 
     cohort = np.sort(activate(np.arange(n_ues), config.access_probability, rng))
     in_progress[cohort] = True
-    ever_active[cohort] = True
 
     tau_pl_sum = tau_sum = l_sum = 0.0
     q_eff_sum = 0.0
@@ -170,9 +170,10 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
         if not in_progress[cohort].any():   # an empty cohort is resolved at once
             break
         if block > 0:
-            newly = activate(np.flatnonzero(~ever_active), config.access_probability, rng)
+            # first-timers always transmit, so every UE activated so far has
+            # attempts > 0 and the idle UEs are those that never attempted
+            newly = activate(np.flatnonzero(attempts == 0), config.access_probability, rng)
             in_progress[newly] = True
-            ever_active[newly] = True
 
         candidates = np.flatnonzero(in_progress)
         first_timers = attempts[candidates] == 0
@@ -181,7 +182,7 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
         if go.size == 0:
             continue
 
-        out = run_attempt(protocol, spec, topology, go, config, rng)
+        out = run_attempt(protocol, spec, topology, go, rng)
         attempts[go] += 1
         succeeded[out.admitted] = True
         in_progress[out.admitted] = False

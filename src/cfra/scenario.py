@@ -7,6 +7,7 @@ appear at the configuration and reporting boundaries.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import Field, dataclass, fields, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -56,35 +57,35 @@ class ScenarioConfig:
     l_max: int = 10
 
     def __post_init__(self):
-        if not (math.isfinite(self.square_length_m) and self.square_length_m > 0.0):
-            raise ValueError("square_length_m must be finite and positive")
-        if self.num_pilots < 1:
-            raise ValueError("num_pilots must be >= 1")
-        if self.num_aps < 1:
-            raise ValueError("num_aps must be >= 1")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" and not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+            if f.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not self.square_length_m > 0.0:
+            raise ValueError("square_length_m must be positive")
+        if not self.pathloss_exponent > 0.0:
+            raise ValueError("pathloss_exponent must be positive")
         if math.isqrt(self.num_aps) ** 2 != self.num_aps:
             raise ValueError(f"num_aps={self.num_aps} is not a perfect square; "
                              "grid placement undefined")
-        if self.antennas_per_ap < 1:
-            raise ValueError("antennas_per_ap must be >= 1")
-        if not 1 <= self.l_max <= self.num_aps:
+        if not self.l_max <= self.num_aps:
             raise ValueError("l_max must lie in [1, num_aps]")
         if not 0.0 <= self.access_probability <= 1.0:
             raise ValueError("access_probability must lie in [0, 1]")
         if not 0.0 <= self.reattempt_probability <= 1.0:
             raise ValueError("reattempt_probability must lie in [0, 1]")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.num_inactive_ues < 1:
-            raise ValueError("num_inactive_ues must be >= 1")
         if not self.ul_power_mw >= 0.0:
             raise ValueError("ul_power_mw must be >= 0")
         if not self.dl_power_per_ap_mw > 0.0:
             raise ValueError("dl_power_per_ap_mw must be positive")
+        if not self.bs_dl_power_mw > 0.0:
+            raise ValueError("bs_dl_power_mw must be positive")
         if not self.compensation_factor >= 1.0:
             raise ValueError("compensation_factor must be >= 1")
         if self.noise_mw <= 0.0 or self.omega_lin <= 0.0:
-            raise ValueError("linear powers derived from dB fields must be positive")
+            raise ValueError("noise_power_dbm, power_constant_db: linear power must be > 0")
 
     # Derived once per instance; the cached values live outside the fields,
     # so equality, hashing and asdict() are unaffected.
@@ -126,7 +127,10 @@ def load_config(path) -> ScenarioConfig:
         key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = parse_field(known[key], val.strip())
+        try:
+            values[key] = parse_field(known[key], val.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     return ScenarioConfig(**values)
 
 
@@ -136,7 +140,7 @@ class Topology:
     The ``[ue, ap]`` gain row of a UE is computed the first time :meth:`gains`
     asks for it and cached for the topology's lifetime, so a campaign pays
     only for the UEs that transmit. ``beta`` fills and returns the whole
-    table; ``distances`` is computed from the positions on every read.
+    table.
     """
 
     def __init__(self, ap_positions: np.ndarray, ue_positions: np.ndarray,
@@ -176,11 +180,6 @@ class Topology:
     def beta(self) -> np.ndarray:
         """The full ``[ue, ap]`` channel-gain table."""
         return self.gains(np.arange(self._slot.size))
-
-    @property
-    def distances(self) -> np.ndarray:
-        """The full ``[ue, ap]`` distance table in meters."""
-        return _distances(self.ue_positions, self.ap_positions)
 
     @cached_property
     def bs_view(self) -> Topology:
@@ -228,30 +227,25 @@ def pathloss_beta(distances: np.ndarray, config: ScenarioConfig) -> np.ndarray:
 
 
 def build_topology(config: ScenarioConfig, rng: np.random.Generator,
-                   num_ues: int | None = None,
-                   ue_positions: np.ndarray | None = None) -> Topology:
+                   num_ues: int | None = None) -> Topology:
     """Place the AP grid and drop UEs i.i.d. uniform on the square.
 
     Every UE position is drawn here, so the random stream does not depend
     on which gain rows are used later; the rows themselves are computed
     lazily by :meth:`Topology.gains`.
     """
-    aps = ap_grid(config.num_aps, config.square_length_m)
-    if ue_positions is None:
-        if num_ues is None:
-            num_ues = config.num_inactive_ues
-        if num_ues < 1:
-            raise ValueError("need at least one UE")
-        ue_positions = rng.uniform(0.0, config.square_length_m, size=(num_ues, 2))
-    else:
-        ue_positions = np.asarray(ue_positions, dtype=float)
-    return Topology(aps, ue_positions, config)
+    if num_ues is None:
+        num_ues = config.num_inactive_ues
+    if num_ues < 1:
+        raise ValueError("need at least one UE")
+    ue_positions = rng.uniform(0.0, config.square_length_m, size=(num_ues, 2))
+    return Topology(ap_grid(config.num_aps, config.square_length_m), ue_positions, config)
 
 
 def bs_topology(config: ScenarioConfig, ue_positions: np.ndarray) -> Topology:
-    """Single-BS view of the given UEs: one 'AP' at the square center."""
+    """The given UEs under ``config.bs_config``: one 'AP' at the square center."""
     center = np.array([[config.square_length_m / 2.0, config.square_length_m / 2.0]])
-    return Topology(center, np.asarray(ue_positions, dtype=float), config)
+    return Topology(center, np.asarray(ue_positions, dtype=float), config.bs_config)
 
 
 def limit_distance(config: ScenarioConfig) -> float:

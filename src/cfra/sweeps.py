@@ -2,8 +2,9 @@
 
 A :class:`SweepDescriptor` names one of the four figure classes, which fixes
 the varied axis, the axis values and the trial budget; :func:`run_sweep`
-executes the points in deterministic order and serializes a CSV of
-:class:`~cfra.metrics.MetricsReport` rows plus a JSON run manifest.
+executes the points in deterministic order and :func:`write_outputs`
+serializes a CSV of :class:`~cfra.metrics.MetricsReport` rows plus a JSON
+run manifest.
 """
 
 from __future__ import annotations
@@ -121,9 +122,8 @@ def _separability_point(desc: SweepDescriptor, num_ues: int,
         trials=0, seed=desc.seed)
 
 
-def run_sweep(desc: SweepDescriptor, config: ScenarioConfig,
-              out_dir=None) -> list[MetricsReport]:
-    """Execute every sweep point in order; optionally write CSV + manifest."""
+def run_sweep(desc: SweepDescriptor, config: ScenarioConfig) -> list[MetricsReport]:
+    """Execute every sweep point in order (:func:`write_outputs` saves them)."""
     rng = np.random.default_rng(desc.seed)
     reports: list[MetricsReport] = []
     for value in desc.values:
@@ -146,8 +146,6 @@ def run_sweep(desc: SweepDescriptor, config: ScenarioConfig,
                 else:
                     reports.append(_campaign_point(
                         desc, value, protocol, desc.estimators[0], config, rng, with_tcp))
-    if out_dir is not None:
-        write_outputs(desc, config, reports, out_dir)
     return reports
 
 

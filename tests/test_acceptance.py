@@ -184,7 +184,7 @@ def test_criterion_10_analysis_vs_simulation():
             act = np.flatnonzero(rng.random(num) < cfg.access_probability)
             if act.size == 0:
                 continue
-            out = run_attempt("bcf", EstimatorSpec(), topo, act, cfg, rng)
+            out = run_attempt("bcf", EstimatorSpec(), topo, act, rng)
             admitted += len(out.admitted)
             active += act.size
         frac = admitted / active

@@ -31,7 +31,6 @@ def test_build_serving_sets_basic():
     assert list(_members(serving, 0)) == [0, 2]
     assert list(_members(serving, 1)) == []
     assert serving.mask[0, 0] and serving.mask[0, 2] and not serving.mask[0, 1]
-    assert list(serving.operative_aps) == [0, 2]
 
 
 def test_build_serving_sets_no_truncation_at_full_cap():

@@ -52,3 +52,11 @@ def test_calibrate_delta_matches_power_identity():
     cfg = _small_cfg()
     delta, q_avg = calibrate_delta(cfg, cfg.num_aps, np.random.default_rng(3), draws=100)
     assert delta == pytest.approx((cfg.dl_power_per_ap_mw / q_avg) ** 0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("draws", [25, 5, 0, -10])
+def test_calibrate_delta_rejects_uneven_draws(draws):
+    """``draws`` is split evenly over the ten collision sizes, never rounded."""
+    cfg = _small_cfg()
+    with pytest.raises(ValueError, match="draws"):
+        calibrate_delta(cfg, cfg.num_aps, np.random.default_rng(2), draws=draws)

@@ -149,16 +149,30 @@ def test_readme_cli_lines_parse():
         assert parser.parse_args(argv[1:]).command == argv[1]
 
 
-def test_simulate_zero_trials_is_a_usage_error():
-    """A count flag of 0 stops at the parser, with a message and no traceback."""
+def _run_cli(*argv):
     src = str(Path(cfra.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    out = subprocess.run([sys.executable, "-m", "cfra.cli", "simulate", "--trials", "0"],
-                         capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "cfra.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_simulate_zero_trials_is_a_usage_error():
+    """A count flag of 0 stops at the parser, with a message and no traceback."""
+    out = _run_cli("simulate", "--trials", "0")
     assert out.returncode != 0
     assert "error:" in out.stderr and "--trials" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+def test_calibrate_delta_uneven_draws_is_a_validation_failure(tmp_path):
+    """Draws split evenly over the collision sizes or the run stops: no
+    silent rounding, and the table is not written."""
+    out = _run_cli("calibrate-delta", "--draws", "25", "--out", str(tmp_path))
+    assert out.returncode == 1
+    assert "error:" in out.stderr and "draws" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("argv", [

@@ -115,18 +115,18 @@ def test_run_attempt_validation():
     rng = np.random.default_rng(0)
     topo = build_topology(cfg, rng, num_ues=3)
     with pytest.raises(ValueError):
-        run_attempt("lte", EstimatorSpec(), topo, [0], cfg, rng)
+        run_attempt("lte", EstimatorSpec(), topo, [0], rng)
     with pytest.raises(ValueError):
-        run_attempt("ce-sucre", EstimatorSpec(kind="est1"), topo, [0], cfg, rng)
+        run_attempt("ce-sucre", EstimatorSpec(kind="est1"), topo, [0], rng)
     with pytest.raises(ValueError):
-        run_attempt("cf-sucre", EstimatorSpec(kind="cellular"), topo, [0], cfg, rng)
+        run_attempt("cf-sucre", EstimatorSpec(kind="cellular"), topo, [0], rng)
 
 
 def test_run_attempt_empty_active_set():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(1)
     topo = build_topology(cfg, rng, num_ues=2)
-    out = run_attempt("bcf", EstimatorSpec(), topo, [], cfg, rng)
+    out = run_attempt("bcf", EstimatorSpec(), topo, [], rng)
     assert isinstance(out, AttemptOutcome)
     assert out.admitted.size == 0 and out.ues.size == 0 and out.active_pilots == 0
 
@@ -135,7 +135,7 @@ def test_bcf_lone_ue_admitted():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(2)
     topo = build_topology(cfg, rng, num_ues=1)
-    out = run_attempt("bcf", EstimatorSpec(), topo, [0], cfg, rng)
+    out = run_attempt("bcf", EstimatorSpec(), topo, [0], rng)
     assert out.admitted.tolist() == [0]
     assert out.repeat.tolist() == [True]
     assert np.isnan(out.alpha_hat).all()
@@ -148,7 +148,7 @@ def test_cf_sucre_lone_ue_repeats_and_wins():
     topo = build_topology(cfg, rng, num_ues=1)
     wins = 0
     for _ in range(20):
-        out = run_attempt("cf-sucre", EstimatorSpec(kind="est2"), topo, [0], cfg, rng)
+        out = run_attempt("cf-sucre", EstimatorSpec(kind="est2"), topo, [0], rng)
         wins += 0 in out.admitted
         assert np.array_equal(np.isfinite(out.alpha_hat), out.served)
     assert wins >= 18  # collision-free access succeeds essentially always
@@ -161,7 +161,7 @@ def test_ce_sucre_singleton_winner_rule():
     spec = EstimatorSpec(kind="cellular")
     saw_multi = False
     for _ in range(30):
-        out = run_attempt("ce-sucre", spec, topo, range(12), cfg, rng)
+        out = run_attempt("ce-sucre", spec, topo, range(12), rng)
         assert out.operative_ap_count <= 1
         assert not out.repeat[~out.served].any()
         per_pilot = np.bincount(out.pilots[out.repeat], minlength=cfg.num_pilots)
@@ -175,7 +175,7 @@ def test_bcf_admitted_subset_of_colliders():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(5)
     topo = build_topology(cfg, rng, num_ues=20)
-    out = run_attempt("bcf", EstimatorSpec(), topo, range(20), cfg, rng)
+    out = run_attempt("bcf", EstimatorSpec(), topo, range(20), rng)
     assert out.ues.tolist() == list(range(20)) and out.repeat.all()
     assert set(out.admitted.tolist()) <= set(range(20))
     assert out.active_pilots == np.unique(out.pilots).size
@@ -196,7 +196,7 @@ def test_decision_batch_is_ranked_and_zero_padded(monkeypatch, kind):
 
     monkeypatch.setattr(contention, "knowledge_for", spy)
     out = run_attempt("cf-sucre", EstimatorSpec(kind=kind, nearby_method="greedy"),
-                      topo, range(300), cfg, rng)
+                      topo, range(300), rng)
     assert len(batches) == 1
     block, deciders = batches[0], out.ues[out.served]
     members = natural_sets(topo.gains(deciders), cfg)
@@ -255,6 +255,29 @@ def test_campaign_empty_cohort_is_nan():
     assert np.isnan(res.anaa)
 
 
+@pytest.mark.parametrize("built, run", [
+    (ScenarioConfig(), ScenarioConfig(num_aps=16, l_max=10)),
+    (ScenarioConfig(num_inactive_ues=2000), ScenarioConfig(num_inactive_ues=500)),
+])
+def test_campaign_rejects_topology_of_another_config(built, run):
+    """A campaign reads its topology's config: a topology built for another
+    one (more APs, more UEs) is refused, not silently mixed."""
+    topo = build_topology(built, np.random.default_rng(3))
+    with pytest.raises(ValueError, match="config"):
+        run_access_campaign("bcf", EstimatorSpec(), run, np.random.default_rng(4),
+                            topology=topo)
+
+
+def test_campaign_on_given_topology_matches_its_own_drop():
+    cfg = ScenarioConfig(num_inactive_ues=300, access_probability=0.05)
+    rng = np.random.default_rng(6)
+    given = run_access_campaign("bcf", EstimatorSpec(), cfg, rng,
+                                topology=build_topology(cfg, rng))
+    own = run_access_campaign("bcf", EstimatorSpec(), cfg, np.random.default_rng(6))
+    assert given.attempts.size > 0
+    assert np.array_equal(given.attempts, own.attempts) and given.l_bar == own.l_bar
+
+
 def test_campaign_counts_blocks_and_truncation(monkeypatch):
     """``blocks`` counts the blocks that carried an attempt; a campaign cut at
     the block cap with cohort UEs pending is ``truncated``."""
@@ -283,9 +306,9 @@ def test_campaign_computes_gains_only_for_transmitters(monkeypatch):
     filled: list = []
     fill = Topology._fill
 
-    def spy(protocol, spec, topology, active_ues, config, rng):
+    def spy(protocol, spec, topology, active_ues, rng):
         transmitted.update(int(k) for k in active_ues)
-        return run_attempt(protocol, spec, topology, active_ues, config, rng)
+        return run_attempt(protocol, spec, topology, active_ues, rng)
 
     def fill_spy(self, new):
         filled.extend(new.tolist())
@@ -313,7 +336,7 @@ def test_ce_sucre_gains_only_for_active_ues(monkeypatch):
 
     monkeypatch.setattr(Topology, "_fill", spy)
     active = [31, 4, 17]
-    run_attempt("ce-sucre", EstimatorSpec(kind="cellular"), topo, active, cfg, rng)
+    run_attempt("ce-sucre", EstimatorSpec(kind="cellular"), topo, active, rng)
     assert topo.computed_rows == 0
     rows = np.concatenate(computed)
     assert len(rows) == len(active)

@@ -266,7 +266,7 @@ def test_attempt_draw_budget(drawn, protocol, spec):
     bound_ul = phy.num_aps * phy.num_pilots
     for active in (range(300), range(40), [7]):
         drawn.clear()
-        out = run_attempt(protocol, spec, topo, active, cfg, rng)
+        out = run_attempt(protocol, spec, topo, active, rng)
         k = out.ues.size
         entries = sum(int(np.prod(shape)) for _, shape in drawn)
         channels = [shape for name, shape in drawn if name == "draw_channels"]

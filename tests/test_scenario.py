@@ -1,12 +1,13 @@
 """Configuration, topology and natural nearby-set tests."""
 
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from cfra.scenario import (MIN_DISTANCE_M, ScenarioConfig, ap_grid,
+from cfra.scenario import (MIN_DISTANCE_M, ScenarioConfig, Topology, ap_grid,
                            bs_topology, build_topology, db_to_linear,
                            limit_distance, linear_to_db, load_config,
                            natural_sets, pathloss_beta)
@@ -39,10 +40,26 @@ def test_config_validation():
     ("compensation_factor", 0.5),
     ("num_inactive_ues", 0),
     ("num_aps", 10),
+    ("power_constant_db", float("nan")),
+    ("noise_power_dbm", float("nan")),
+    ("pathloss_exponent", 0.0),
+    ("pathloss_exponent", float("nan")),
+    ("bs_antennas", 0),
+    ("bs_dl_power_mw", 0.0),
+    ("bs_dl_power_mw", float("nan")),
+    ("ul_power_mw", float("inf")),
+    ("dl_power_per_ap_mw", float("inf")),
+    ("compensation_factor", float("inf")),
+    ("num_pilots", 2.5),
 ])
 def test_config_rejects_non_physical(field, value):
     with pytest.raises(ValueError, match=field):
         ScenarioConfig(**{field: value})
+
+
+def test_config_accepts_numpy_integers():
+    cfg = ScenarioConfig(num_pilots=np.int64(3), num_inactive_ues=np.int32(200))
+    assert (cfg.num_pilots, cfg.num_inactive_ues) == (3, 200)
 
 
 def test_derived_constants_cached_outside_fields():
@@ -84,6 +101,13 @@ def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("not_a_field = 3\n")
     with pytest.raises(ValueError, match="unknown key"):
+        load_config(path)
+
+
+def test_load_config_type_error_names_line_and_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("num_aps = 64\nnum_pilots = 2.5\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: num_pilots: "):
         load_config(path)
 
 
@@ -141,19 +165,19 @@ def test_build_topology_shapes_and_bounds():
     rng = np.random.default_rng(0)
     topo = build_topology(cfg, rng, num_ues=10)
     assert topo.beta.shape == (10, 64)
-    assert topo.distances.shape == (10, 64)
     assert (topo.ue_positions >= 0).all()
     assert (topo.ue_positions <= 400).all()
     # distances consistent with positions
+    distances, _ = _eager_tables(topo, cfg)
+    assert distances.shape == (10, 64)
     d = np.linalg.norm(topo.ue_positions[3] - topo.ap_positions[17])
-    assert topo.distances[3, 17] == pytest.approx(d)
+    assert distances[3, 17] == pytest.approx(d)
 
 
 def test_topology_fixed_positions():
     cfg = ScenarioConfig()
-    rng = np.random.default_rng(0)
     pos = np.array([[25.0, 25.0]])
-    topo = build_topology(cfg, rng, ue_positions=pos)
+    topo = Topology(ap_grid(cfg.num_aps, cfg.square_length_m), pos, cfg)
     # UE atop the first AP: that AP has the largest gain
     assert topo.beta[0].argmax() == 0
 
@@ -167,7 +191,7 @@ def _eager_tables(topo, cfg):
 def test_gains_bit_equal_to_eager_table():
     cfg = ScenarioConfig()
     topo = build_topology(cfg, np.random.default_rng(11), num_ues=40)
-    d_ref, beta_ref = _eager_tables(topo, cfg)
+    _, beta_ref = _eager_tables(topo, cfg)
     assert topo.computed_rows == 0
     rows = np.array([17, 3, 3, 39, 0, 17])          # unsorted, duplicated
     assert np.array_equal(topo.gains(rows), beta_ref[rows])
@@ -176,8 +200,7 @@ def test_gains_bit_equal_to_eager_table():
     assert np.array_equal(topo.gains(5), beta_ref[5])
     assert np.array_equal(topo.gains(-1), beta_ref[39])
     assert topo.computed_rows == 5
-    # full tables after a partial fill
-    assert np.array_equal(topo.distances, d_ref)
+    # full table after a partial fill
     assert np.array_equal(topo.beta, beta_ref)
     assert topo.computed_rows == 40
 
@@ -204,8 +227,9 @@ def test_bs_topology_center():
     cfg = ScenarioConfig()
     topo = bs_topology(cfg, np.array([[200.0, 200.0], [0.0, 0.0]]))
     assert topo.beta.shape == (2, 1)
-    assert topo.distances[0, 0] == pytest.approx(0.0, abs=1e-9)
-    assert topo.distances[1, 0] == pytest.approx(200.0 * math.sqrt(2.0))
+    distances, _ = _eager_tables(topo, cfg)
+    assert distances[0, 0] == pytest.approx(0.0, abs=1e-9)
+    assert distances[1, 0] == pytest.approx(200.0 * math.sqrt(2.0))
 
 
 def test_nearby_set_threshold_and_fallback():
@@ -215,7 +239,7 @@ def test_nearby_set_threshold_and_fallback():
     assert members.shape == (50, cfg.num_aps) and members.dtype == bool
     assert (members.sum(axis=1) >= 1).all()
     # every AP inside d_lim is a member, and only those
-    assert np.array_equal(members, topo.distances < limit_distance(cfg))
+    assert np.array_equal(members, _eager_tables(topo, cfg)[0] < limit_distance(cfg))
 
 
 def test_nearby_set_fallback_single_strongest():
@@ -272,3 +296,6 @@ def test_bs_view_is_the_cached_single_bs_topology():
     assert np.array_equal(view.gains(rows), ref.beta[rows])
     assert view.computed_rows == 3 and topo.computed_rows == 0
     assert natural_sets(view.gains(rows), cfg.bs_config).all()
+    # the view carries the single-BS config, read by whatever runs on it
+    assert view.config == cfg.bs_config
+    assert view.config is cfg.bs_config and topo.config is cfg

@@ -32,7 +32,8 @@ def test_descriptor_axis_defaults():
 
 def test_empty_values_yield_no_reports(tmp_path):
     desc = SweepDescriptor(figure_class="separability", values=())
-    reports = run_sweep(desc, ScenarioConfig(), out_dir=tmp_path)
+    reports = run_sweep(desc, ScenarioConfig())
+    write_outputs(desc, ScenarioConfig(), reports, tmp_path)
     assert reports == []
     assert read_reports(tmp_path / "separability.csv") == []
 
@@ -52,7 +53,8 @@ def test_campaign_sweep_and_manifest(tmp_path):
     cfg = ScenarioConfig(num_inactive_ues=200, access_probability=0.05)
     desc = SweepDescriptor(figure_class="anaa-sweep", values=(200,),
                            trials=2, seed=3, protocols=("bcf",))
-    reports = run_sweep(desc, cfg, out_dir=tmp_path)
+    reports = run_sweep(desc, cfg)
+    write_outputs(desc, cfg, reports, tmp_path)
     assert len(reports) == 1
     assert reports[0].protocol == "bcf"
     assert np.isfinite(reports[0].anaa)
@@ -107,7 +109,8 @@ def test_campaign_trials_count_nonempty_cohorts(tmp_path, monkeypatch):
     cfg = ScenarioConfig(access_probability=0.01)
     desc = SweepDescriptor(figure_class="anaa-sweep", values=(50,), trials=12, seed=4,
                            protocols=("bcf",))
-    reports = run_sweep(desc, cfg, out_dir=tmp_path)
+    reports = run_sweep(desc, cfg)
+    write_outputs(desc, cfg, reports, tmp_path)
     effective = int(np.isfinite(anaa).sum())
     assert len(anaa) == 12 and 0 < effective < 12      # some cohorts were empty
     assert reports[0].trials == effective
