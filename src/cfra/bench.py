@@ -37,10 +37,10 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
 
     The cellular estimator runs the same loop on the single-BS view
     (``Topology.bs_view``), where the one serving "AP" is the BS and
-    ``l_max`` must be 1.
+    ``l_max`` must be 1. Every constant is read from the topology it runs
+    on, as an access attempt reads it.
     """
     cellular = kind == "cellular"
-    phy = config.bs_config if cellular else config
     pilots = np.zeros(collision_size, dtype=int)          # every UE on pilot 0
 
     nmse_out = np.empty((num_setups, collision_size))
@@ -49,18 +49,19 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
 
     for s in range(num_setups):
         topo = build_topology(config, rng, num_ues=collision_size)
-        beta = (topo.bs_view if cellular else topo).beta                  # (S, L)
+        topo = topo.bs_view if cellular else topo                          # carries bs_config
+        beta, site = topo.beta, topo.config                                # (S, L)
         beta_nearby = -np.sort(-beta, axis=1)[:, :nearby_size]             # (S, C) strongest first
 
-        alpha_lt = true_alpha_lt(beta, pilots, config)[:1]                 # (1, L)
-        activity = pilot_activity(np.broadcast_to(alpha_lt, (num_realizations, 1, phy.num_aps)),
-                                  phy.antennas_per_ap, config.noise_mw, rng)  # (R, 1, L)
-        serving = build_serving_sets(activity, l_max, config.noise_mw)
+        alpha_lt = true_alpha_lt(beta, pilots, site)[:1]                   # (1, L)
+        activity = pilot_activity(np.broadcast_to(alpha_lt, (num_realizations, 1, site.num_aps)),
+                                  site.antennas_per_ap, site.noise_mw, rng)  # (R, 1, L)
+        serving = build_serving_sets(activity, l_max, site.noise_mw)
         obs = downlink_observation(
-            activity, serving, beta, alpha_lt, pilots, phy, rng,
-            cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if kind == "est3" else None)
+            activity, serving, beta, alpha_lt, pilots, site, rng,
+            cpu_alpha_hat=cpu_alpha_hat(activity, site.noise_mw) if kind == "est3" else None)
 
-        est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, config), config)
+        est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, site), site)
         mask = serving.mask[:, 0]                                           # (R, L)
         alpha_t = mask @ alpha_lt[0]                                        # (R,)
 

@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import separability_prediction
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .contention import PROTOCOLS, run_access_campaign
-from .estimators import ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec
+from .estimators import CF_ESTIMATORS, ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec
 from .metrics import write_reports, write_table
 from .scenario import ScenarioConfig, load_config
 from .sweeps import FIGURE_CLASSES, SweepDescriptor, bench_point, run_sweep, write_outputs
@@ -71,8 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure-class", choices=FIGURE_CLASSES, required=True)
     p.add_argument("--values", type=_whole, nargs="+", required=True,
                    help="sweep axis values")
-    p.add_argument("--protocols", nargs="+", default=["bcf", "cf-sucre", "ce-sucre"])
-    p.add_argument("--estimators", nargs="+", default=["est2"])
+    p.add_argument("--protocols", choices=PROTOCOLS, nargs="+", default=list(PROTOCOLS))
+    p.add_argument("--estimators", choices=CF_ESTIMATORS, nargs="+", default=["est2"])
     p.add_argument("--nearby-method", choices=NEARBY_METHODS, default="fixed")
 
     p = sub.add_parser("analyze", parents=[files], help="closed-form separability curve")
@@ -93,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="NMSE/NEB of the estimators")
     p.add_argument("--collision-sizes", type=int, nargs="+",
                    default=list(range(1, 11)))
-    p.add_argument("--estimators", nargs="+",
-                   default=["est1", "est2", "est3", "cellular"])
+    p.add_argument("--estimators", choices=ESTIMATOR_KINDS, nargs="+",
+                   default=list(ESTIMATOR_KINDS))
     return parser
 
 

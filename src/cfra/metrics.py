@@ -20,21 +20,24 @@ def iqr(values) -> float:
     return float(q75 - q25)
 
 
-def tcp(protocol: str, anaa: float, config: ScenarioConfig,
-        tau_bar_pl: float, l_bar: float, q_eff_mw: float | None = None) -> float:
-    """Total consumed power per access campaign, in mW * symbols.
+def tcp(protocol: str, result, config: ScenarioConfig) -> float:
+    """Total consumed power of one access campaign, in mW * symbols.
 
-    ``tau_bar_pl`` is the average number of active pilots each transmitting
-    node serves; ``l_bar`` the average number of operative APs.
+    ``result`` is the campaign's :class:`~cfra.contention.CampaignResult`.
+    The cell-free protocols charge each operative AP for the active pilots
+    it serves (``tau_bar_pl``), cf-sucre at the measured effective DL power
+    ``q_eff_mw`` when the campaign has one, else at the configured
+    ``dl_power_per_ap_mw``; ce-sucre charges the BS for every active pilot
+    (``tau_bar``).
     """
     tau_p = config.num_pilots
     if protocol == "cf-sucre":
-        q = config.dl_power_per_ap_mw if q_eff_mw is None else q_eff_mw
-        return anaa * (tau_p + 1) * (q * tau_bar_pl) * l_bar
+        q = result.q_eff_mw if np.isfinite(result.q_eff_mw) else config.dl_power_per_ap_mw
+        return result.anaa * (tau_p + 1) * (q * result.tau_bar_pl) * result.l_bar
     if protocol == "ce-sucre":
-        return anaa * (tau_p + 1) * (config.bs_dl_power_mw * tau_bar_pl) * 1.0
+        return result.anaa * (tau_p + 1) * (config.bs_dl_power_mw * result.tau_bar) * 1.0
     if protocol == "bcf":
-        return anaa * 1.0 * (config.dl_power_per_ap_mw * tau_bar_pl) * config.num_aps
+        return result.anaa * 1.0 * (config.dl_power_per_ap_mw * result.tau_bar_pl) * config.num_aps
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
@@ -54,7 +57,7 @@ class MetricsReport:
     neb_median: float = float("nan")
     neb_iqr: float = float("nan")
     nmd_mean: float = float("nan")
-    trials: int = 0     # campaigns that gave an ANAA, or bench setups; 0 when closed-form
+    trials: int = 0     # campaigns that gave an ANAA, or bench setups
     seed: int = 0
 
 

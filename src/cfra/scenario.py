@@ -59,7 +59,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "int" and not (isinstance(value, numbers.Integral) and value >= 1):
+            if f.type == "int" and not (isinstance(value, numbers.Integral)
+                                        and not isinstance(value, bool) and value >= 1):
                 raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
             if f.type == "float" and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
@@ -127,11 +128,16 @@ def load_config(path) -> ScenarioConfig:
         key = key.strip()
         if key not in known:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
             values[key] = parse_field(known[key], val.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
-    return ScenarioConfig(**values)
+    try:
+        return ScenarioConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 class Topology:

@@ -1,10 +1,10 @@
 """Experiment sweep orchestration.
 
-A :class:`SweepDescriptor` names one of the four figure classes, which fixes
+A :class:`SweepDescriptor` names one of the three figure classes, which fixes
 the varied axis, the axis values and the trial budget; :func:`run_sweep`
 executes the points in deterministic order and :func:`write_outputs`
 serializes a CSV of :class:`~cfra.metrics.MetricsReport` rows plus a JSON
-run manifest.
+run manifest. The closed-form separability curve is ``cfra analyze``'s table.
 """
 
 from __future__ import annotations
@@ -17,20 +17,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import separability_prediction
 from .bench import run_estimator_bench
 from .contention import PROTOCOLS, run_access_campaign
 from .estimators import CF_ESTIMATORS, NEARBY_METHODS, EstimatorSpec, best_pair
 from .metrics import MetricsReport, iqr, tcp, write_reports
 from .scenario import ScenarioConfig
 
-FIGURE_CLASSES = ("estimator-bench", "anaa-sweep", "ee-sweep", "separability")
+FIGURE_CLASSES = ("estimator-bench", "anaa-sweep", "ee-sweep")
 
 _AXES = {
     "estimator-bench": "collision_size",
     "anaa-sweep": "num_inactive_ues",
     "ee-sweep": "num_inactive_ues",
-    "separability": "num_inactive_ues",
 }
 
 
@@ -85,8 +83,7 @@ def bench_point(desc: SweepDescriptor, size: int, kind: str,
 
 
 def _campaign_point(desc: SweepDescriptor, num_ues: int, protocol: str,
-                    kind: str, config: ScenarioConfig, rng,
-                    with_tcp: bool) -> MetricsReport:
+                    kind: str, config: ScenarioConfig, rng) -> MetricsReport:
     point_config = replace(config, num_inactive_ues=num_ues)
     spec = EstimatorSpec(kind=kind, nearby_method=desc.nearby_method) \
         if protocol == "cf-sucre" else \
@@ -97,29 +94,13 @@ def _campaign_point(desc: SweepDescriptor, num_ues: int, protocol: str,
         if not np.isfinite(result.anaa):
             continue
         anaa_vals.append(result.anaa)
-        if with_tcp:
-            q_eff = result.q_eff_mw if np.isfinite(result.q_eff_mw) else None
-            tcp_vals.append(tcp(protocol, result.anaa, point_config,
-                               result.tau_bar_pl if protocol != "ce-sucre" else result.tau_bar,
-                               result.l_bar, q_eff_mw=q_eff))
+        tcp_vals.append(tcp(protocol, result, point_config))
     return MetricsReport(
         sweep_axis=desc.axis, sweep_value=float(num_ues),
         protocol=protocol, estimator=spec.kind, nearby_method=spec.nearby_method,
         anaa=float(np.mean(anaa_vals)) if anaa_vals else float("nan"),
         tcp_mw_symbols=float(np.mean(tcp_vals)) if tcp_vals else float("nan"),
         trials=len(anaa_vals), seed=desc.seed)
-
-
-def _separability_point(desc: SweepDescriptor, num_ues: int,
-                        config: ScenarioConfig) -> MetricsReport:
-    pred = separability_prediction(config, num_inactive_ues=num_ues)
-    # closed-form point: psi and the exclusive-AP count reuse the two
-    # numeric columns under the "analysis" protocol tag
-    return MetricsReport(
-        sweep_axis=desc.axis, sweep_value=float(num_ues),
-        protocol="analysis", estimator="psi", nearby_method="",
-        anaa=pred.psi, tcp_mw_symbols=pred.exclusive_aps,
-        trials=0, seed=desc.seed)
 
 
 def run_sweep(desc: SweepDescriptor, config: ScenarioConfig) -> list[MetricsReport]:
@@ -134,18 +115,11 @@ def run_sweep(desc: SweepDescriptor, config: ScenarioConfig) -> list[MetricsRepo
                 kinds.append("cellular")
             for kind in kinds:
                 reports.append(bench_point(desc, value, kind, config, rng))
-        elif desc.figure_class == "separability":
-            reports.append(_separability_point(desc, value, config))
         else:
-            with_tcp = desc.figure_class == "ee-sweep"
             for protocol in desc.protocols:
-                if protocol == "cf-sucre":
-                    for kind in desc.estimators:
-                        reports.append(_campaign_point(
-                            desc, value, protocol, kind, config, rng, with_tcp))
-                else:
-                    reports.append(_campaign_point(
-                        desc, value, protocol, desc.estimators[0], config, rng, with_tcp))
+                kinds = desc.estimators if protocol == "cf-sucre" else (desc.estimators[0],)
+                for kind in kinds:
+                    reports.append(_campaign_point(desc, value, protocol, kind, config, rng))
     return reports
 
 

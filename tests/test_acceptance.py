@@ -202,9 +202,7 @@ def _mean_tcp(protocol, spec, num_ues, trials, seed):
         r = run_access_campaign(protocol, spec, cfg, rng)
         if not np.isfinite(r.anaa):
             continue
-        q_eff = r.q_eff_mw if np.isfinite(r.q_eff_mw) else None
-        tau = r.tau_bar if protocol == "ce-sucre" else r.tau_bar_pl
-        vals.append(tcp(protocol, r.anaa, cfg, tau, r.l_bar, q_eff_mw=q_eff))
+        vals.append(tcp(protocol, r, cfg))
     return float(np.mean(vals))
 
 

@@ -39,6 +39,19 @@ def test_analyze_csv(tmp_path):
     assert float(rows[0]["psi"]) == pytest.approx(1.0)
 
 
+def test_analyze_separability_rows(tmp_path):
+    """``analyze`` is the separability table: psi in [0, 1], non-increasing
+    over |U|, and the expected exclusive APs in (0, L]."""
+    assert main(["analyze", "--out", str(tmp_path), "--format", "json",
+                 "--num-ues", "1000", "5000", "10000", "50000"]) == 0
+    rows = json.loads((tmp_path / "analyze.json").read_text())
+    assert [r["num_inactive_ues"] for r in rows] == [1000, 5000, 10000, 50000]
+    psi = [r["psi"] for r in rows]
+    assert all(0.0 <= v <= 1.0 for v in psi)
+    assert psi == sorted(psi, reverse=True)
+    assert all(0.0 < r["exclusive_aps"] <= 64 for r in rows)
+
+
 def test_analyze_json(tmp_path):
     assert main(["analyze", "--out", str(tmp_path), "--format", "json",
                  "--num-ues", "2e3"]) == 0
@@ -57,10 +70,11 @@ def test_simulate(tmp_path, small_cfg):
 
 def test_sweep_writes_manifest(tmp_path, small_cfg):
     code = main(["sweep", "--config", str(small_cfg), "--out", str(tmp_path),
-                 "--figure-class", "separability", "--values", "1000", "10000"])
+                 "--figure-class", "anaa-sweep", "--values", "200", "--trials", "2",
+                 "--protocols", "bcf"])
     assert code == 0
-    assert (tmp_path / "separability.csv").exists()
-    assert (tmp_path / "separability.manifest.json").exists()
+    assert (tmp_path / "anaa-sweep.csv").exists()
+    assert (tmp_path / "anaa-sweep.manifest.json").exists()
 
 
 def test_train_lmax(tmp_path, small_cfg):
@@ -124,10 +138,13 @@ def test_estimators_bench_rejects_untuned_size(tmp_path, capsys):
 
 
 def test_validation_failure_exit_code(tmp_path, capsys):
-    code = main(["sweep", "--out", str(tmp_path), "--figure-class", "anaa-sweep",
-                 "--values", "100", "--estimators", "est9"])
+    """A config value that parses but fails validation exits 1, naming its file."""
+    path = tmp_path / "bad.cfg"
+    path.write_text("num_pilots = 0\n")
+    code = main(["sweep", "--config", str(path), "--out", str(tmp_path),
+                 "--figure-class", "anaa-sweep", "--values", "100"])
     assert code == 1
-    assert "error:" in capsys.readouterr().err
+    assert f"error: {path}: num_pilots" in capsys.readouterr().err
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -180,9 +197,14 @@ def test_calibrate_delta_uneven_draws_is_a_validation_failure(tmp_path):
     ["analyze", "--seed", "1"],
     ["train-lmax", "--trials", "5"],
     ["calibrate-delta", "--trials", "5"],
-    ["sweep", "--figure-class", "separability", "--values", "1000.5"],
+    ["sweep", "--figure-class", "anaa-sweep", "--values", "1000.5"],
     ["analyze", "--num-ues", "2500.5"],
     ["calibrate-delta", "--draws", "0"],
+    ["sweep", "--figure-class", "separability", "--values", "1000"],
+    ["sweep", "--figure-class", "anaa-sweep", "--values", "100", "--protocols", "aloha"],
+    ["sweep", "--figure-class", "anaa-sweep", "--values", "100", "--estimators", "est9"],
+    ["sweep", "--figure-class", "anaa-sweep", "--values", "100", "--estimators", "cellular"],
+    ["estimators-bench", "--estimators", "est9"],
 ])
 def test_parser_rejects_unread_or_invalid_flags(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cfra.contention import CampaignResult
 from cfra.metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
                           write_reports)
 from cfra.scenario import ScenarioConfig
@@ -13,19 +14,27 @@ def test_iqr():
     assert np.isnan(iqr([]))
 
 
+def _campaign(anaa, tau_bar_pl=1.5, tau_bar=3.0, l_bar=30.0, q_eff_mw=float("nan")):
+    return CampaignResult(attempts=np.array([1]), succeeded=np.array([True]), anaa=anaa,
+                          tau_bar_pl=tau_bar_pl, tau_bar=tau_bar, l_bar=l_bar,
+                          q_eff_mw=q_eff_mw, blocks=1, truncated=False)
+
+
 def test_tcp_formulas():
     cfg = ScenarioConfig()
     tau_fac = cfg.num_pilots + 1
-    cf = tcp("cf-sucre", 2.0, cfg, tau_bar_pl=1.5, l_bar=30.0)
+    # no measured effective power: cf-sucre charges the configured per-AP budget
+    cf = tcp("cf-sucre", _campaign(2.0), cfg)
     assert cf == pytest.approx(2.0 * tau_fac * cfg.dl_power_per_ap_mw * 1.5 * 30.0)
-    cf_eff = tcp("cf-sucre", 2.0, cfg, 1.5, 30.0, q_eff_mw=0.05)
+    cf_eff = tcp("cf-sucre", _campaign(2.0, q_eff_mw=0.05), cfg)
     assert cf_eff == pytest.approx(2.0 * tau_fac * 0.05 * 1.5 * 30.0)
-    ce = tcp("ce-sucre", 2.0, cfg, tau_bar_pl=3.0, l_bar=1.0)
+    # ce-sucre charges every active pilot network-wide; bcf every AP, ignoring q_eff
+    ce = tcp("ce-sucre", _campaign(2.0, q_eff_mw=0.05), cfg)
     assert ce == pytest.approx(2.0 * tau_fac * cfg.bs_dl_power_mw * 3.0)
-    bcf = tcp("bcf", 1.0, cfg, tau_bar_pl=1.5, l_bar=64.0)
+    bcf = tcp("bcf", _campaign(1.0, l_bar=64.0, q_eff_mw=0.05), cfg)
     assert bcf == pytest.approx(cfg.dl_power_per_ap_mw * 1.5 * cfg.num_aps)
     with pytest.raises(ValueError):
-        tcp("aloha", 1.0, cfg, 1.0, 1.0)
+        tcp("aloha", _campaign(1.0), cfg)
 
 
 def test_report_roundtrip_bit_exact(tmp_path):

@@ -51,6 +51,8 @@ def test_config_validation():
     ("dl_power_per_ap_mw", float("inf")),
     ("compensation_factor", float("inf")),
     ("num_pilots", 2.5),
+    ("num_pilots", True),
+    ("max_attempts", True),
 ])
 def test_config_rejects_non_physical(field, value):
     with pytest.raises(ValueError, match=field):
@@ -108,6 +110,22 @@ def test_load_config_type_error_names_line_and_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("num_aps = 64\nnum_pilots = 2.5\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: num_pilots: "):
+        load_config(path)
+
+
+def test_load_config_validation_error_names_file(tmp_path):
+    """A value that parses but fails validation is reported with its file."""
+    path = tmp_path / "bad.cfg"
+    path.write_text("num_pilots = 0\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: num_pilots must be"):
+        load_config(path)
+
+
+def test_load_config_rejects_duplicate_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("num_pilots = 3\nnum_pilots = 7\n")
+    with pytest.raises(ValueError,
+                       match=rf"^{re.escape(str(path))}:2: duplicate key 'num_pilots'"):
         load_config(path)
 
 

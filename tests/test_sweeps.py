@@ -1,6 +1,7 @@
 """Sweep descriptors, execution order and output serialization."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -31,22 +32,26 @@ def test_descriptor_axis_defaults():
 
 
 def test_empty_values_yield_no_reports(tmp_path):
-    desc = SweepDescriptor(figure_class="separability", values=())
+    desc = SweepDescriptor(figure_class="anaa-sweep", values=())
     reports = run_sweep(desc, ScenarioConfig())
     write_outputs(desc, ScenarioConfig(), reports, tmp_path)
     assert reports == []
-    assert read_reports(tmp_path / "separability.csv") == []
+    assert read_reports(tmp_path / "anaa-sweep.csv") == []
 
 
-def test_separability_sweep_rows():
-    desc = SweepDescriptor(figure_class="separability", values=(1000, 10000))
-    reports = run_sweep(desc, ScenarioConfig())
-    assert [r.sweep_value for r in reports] == [1000.0, 10000.0]
-    for r in reports:
-        assert r.protocol == "analysis"
-        assert 0.0 <= r.anaa <= 1.0          # psi
-        assert 0.0 < r.tcp_mw_symbols <= 64  # exclusive serving APs
-    assert reports[0].anaa >= reports[1].anaa
+def test_anaa_and_ee_sweeps_give_equal_rows():
+    """Every campaign row carries its TCP: the two campaign figure classes
+    differ only in their name."""
+    cfg = ScenarioConfig(num_inactive_ues=200, access_probability=0.05)
+    rows = {}
+    for figure_class in ("anaa-sweep", "ee-sweep"):
+        desc = SweepDescriptor(figure_class=figure_class, values=(200, 300), trials=3,
+                               seed=7, estimators=("est2", "est3"))
+        rows[figure_class] = [asdict(r) for r in run_sweep(desc, cfg)]
+    assert len(rows["anaa-sweep"]) == 8
+    assert rows["anaa-sweep"] == rows["ee-sweep"]
+    assert all(np.isfinite(r["tcp_mw_symbols"]) and r["tcp_mw_symbols"] > 0.0
+               for r in rows["anaa-sweep"])
 
 
 def test_campaign_sweep_and_manifest(tmp_path):
