@@ -19,7 +19,7 @@ from .bench import BenchResult, run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .channel import (activate, complex_noise, correlate_uplink, draw_channels,
                       pilot_activity, select_pilots)
-from .contention import (PROTOCOLS, AttemptOutcome, CampaignResult,
+from .contention import (PROTOCOLS, AttemptOutcome, CampaignResult, protocol_spec,
                          run_access_campaign, run_attempt,
                          spatial_separability_admit)
 from .estimators import (BEST_PAIRS, CF_ESTIMATORS, ESTIMATOR_KINDS,
@@ -32,6 +32,6 @@ from .metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
 from .scenario import (ScenarioConfig, Topology, ap_grid, bs_topology,
                        build_topology, db_to_linear, limit_distance,
                        linear_to_db, load_config, natural_sets, pathloss_beta)
-from .sweeps import FIGURE_CLASSES, SweepDescriptor, run_sweep
+from .sweeps import SweepDescriptor, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -95,16 +95,14 @@ class SeparabilityPrediction:
     exclusive_aps: float
 
 
-def separability_prediction(config: ScenarioConfig,
-                            num_inactive_ues: int | None = None) -> SeparabilityPrediction:
-    """Probability of an exclusively-serving nearby AP and the area behind it."""
+def separability_prediction(config: ScenarioConfig) -> SeparabilityPrediction:
+    """Probability of an exclusively-serving nearby AP and the area behind it,
+    at the config's |U| (``num_inactive_ues``)."""
     side = config.square_length_m
-    if num_inactive_ues is None:
-        num_inactive_ues = config.num_inactive_ues
     d_lim = limit_distance(config)
     area = math.pi * d_lim ** 2
     neighbor_prob = distance_cdf(2.0 * d_lim, side)
-    avg_collision = num_inactive_ues * config.access_probability / config.num_pilots
+    avg_collision = config.num_inactive_ues * config.access_probability / config.num_pilots
     overlap = expected_overlap_area(d_lim, side)
     psi = 1.0 - neighbor_prob * max(avg_collision - 1.0, 0.0) * overlap / area
     psi = min(max(psi, 0.0), 1.0)

@@ -1,26 +1,27 @@
 """Command-line interface.
 
-Subcommands: simulate (one access campaign), sweep (figure-class
-reproduction), analyze (closed-form separability curves), train-lmax,
-calibrate-delta, estimators-bench. Each takes --config, --out and
---format; --seed and --trials only where it reads them.
+Subcommands: simulate (one access campaign), sweep (the campaign sweep
+over |U|), analyze (closed-form separability curves), train-lmax,
+calibrate-delta, estimators-bench (the estimator table). Each takes
+--config, --out and --format; --seed and --trials only where it reads them.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import separability_prediction
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
-from .contention import PROTOCOLS, run_access_campaign
-from .estimators import CF_ESTIMATORS, ESTIMATOR_KINDS, NEARBY_METHODS, EstimatorSpec
-from .metrics import write_reports, write_table
+from .contention import PROTOCOLS, protocol_spec, run_access_campaign
+from .estimators import CF_ESTIMATORS, ESTIMATOR_KINDS, NEARBY_METHODS
+from .metrics import write_table
 from .scenario import ScenarioConfig, load_config
-from .sweeps import FIGURE_CLASSES, SweepDescriptor, bench_point, run_sweep, write_outputs
+from .sweeps import SweepDescriptor, bench_point, run_sweep, write_outputs
 
 
 def _count(text: str) -> int:
@@ -67,10 +68,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", choices=ESTIMATOR_KINDS, default="est2")
     p.add_argument("--nearby-method", choices=NEARBY_METHODS, default="fixed")
 
-    p = sub.add_parser("sweep", parents=[files, seed, trials], help="reproduce a figure class")
-    p.add_argument("--figure-class", choices=FIGURE_CLASSES, required=True)
+    p = sub.add_parser("sweep", parents=[files, seed, trials],
+                       help="ANAA and TCP per protocol over |U|")
     p.add_argument("--values", type=_whole, nargs="+", required=True,
-                   help="sweep axis values")
+                   help="inactive-UE counts")
     p.add_argument("--protocols", choices=PROTOCOLS, nargs="+", default=list(PROTOCOLS))
     p.add_argument("--estimators", choices=CF_ESTIMATORS, nargs="+", default=["est2"])
     p.add_argument("--nearby-method", choices=NEARBY_METHODS, default="fixed")
@@ -101,9 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args) -> int:
     config = _load_scenario(args)
     rng = np.random.default_rng(args.seed)
-    spec = EstimatorSpec(
-        kind="cellular" if args.protocol == "ce-sucre" else args.estimator,
-        nearby_method=args.nearby_method if args.protocol == "cf-sucre" else "fixed")
+    spec = protocol_spec(args.protocol, args.estimator, args.nearby_method)
     rows = []
     for trial in range(args.trials):
         result = run_access_campaign(args.protocol, spec, config, rng)
@@ -121,19 +120,22 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _write_report_table(args, config: ScenarioConfig, reports) -> None:
+    """``<subcommand>.<format>`` and its manifest, which records the flags it read."""
+    path = args.out / f"{args.command}.{args.format}"
+    arguments = {name: value for name, value in vars(args).items()
+                 if name not in ("command", "config", "out", "format")}
+    manifest_path = write_outputs(reports, path, config, arguments)
+    print(f"wrote {path} and {manifest_path}")
+
+
 def _cmd_sweep(args) -> int:
     config = _load_scenario(args)
     desc = SweepDescriptor(
-        figure_class=args.figure_class, values=tuple(args.values),
-        trials=args.trials, seed=args.seed,
+        values=tuple(args.values), trials=args.trials, seed=args.seed,
         protocols=tuple(args.protocols), estimators=tuple(args.estimators),
         nearby_method=args.nearby_method)
-    reports = run_sweep(desc, config)
-    table_path, manifest_path = write_outputs(desc, config, reports, args.out)
-    if args.format == "json":      # the CSV is always written; json adds the same rows
-        table_path = args.out / f"{desc.figure_class}.json"
-        write_reports(reports, table_path)
-    print(f"wrote {table_path} and {manifest_path}")
+    _write_report_table(args, config, run_sweep(desc, config))
     return 0
 
 
@@ -141,7 +143,7 @@ def _cmd_analyze(args) -> int:
     config = _load_scenario(args)
     rows = []
     for num in args.num_ues:
-        pred = separability_prediction(config, num_inactive_ues=int(num))
+        pred = separability_prediction(replace(config, num_inactive_ues=int(num)))
         rows.append({
             "num_inactive_ues": int(num), "psi": pred.psi,
             "exclusive_aps": pred.exclusive_aps,
@@ -183,15 +185,12 @@ def _cmd_calibrate_delta(args) -> int:
 def _cmd_estimators_bench(args) -> int:
     config = _load_scenario(args)
     rng = np.random.default_rng(args.seed)
-    desc = SweepDescriptor(figure_class="estimator-bench",
-                           values=tuple(args.collision_sizes),
-                           trials=args.trials, seed=args.seed)
     reports = []
     for size in args.collision_sizes:
         for kind in args.estimators:
-            reports.append(bench_point(desc, size, kind, config, rng))
+            reports.append(bench_point(size, kind, config, rng, args.trials, args.seed))
             print(f"|S_t|={size} {kind}: NMSE median {reports[-1].nmse_median:.4g}")
-    write_reports(reports, args.out / f"estimators-bench.{args.format}")
+    _write_report_table(args, config, reports)
     return 0
 
 

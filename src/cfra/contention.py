@@ -43,12 +43,26 @@ class AttemptOutcome:
     served: np.ndarray          # (K,) bool; False when the UE's pilot had no serving AP
     repeat: np.ndarray          # (K,) bool repeat decision; every UE under bcf
     alpha_hat: np.ndarray       # (K,) estimated total UL power; nan where not estimated
-    alpha_true: np.ndarray      # (T,) true total UL power over each pilot's serving APs
     admitted: np.ndarray        # ids of the UEs admitted this attempt
     active_pilots: int
     operative_ap_count: int
     served_active_per_ap: float     # mean over operative APs of served active pilots
     q_eff_mean: float               # mean effective DL power over serving entries
+
+
+def protocol_spec(protocol: str, kind: str, nearby_method: str) -> EstimatorSpec:
+    """The estimator ``protocol`` runs when ``kind`` and ``nearby_method`` are asked for.
+
+    ce-sucre always runs the cellular estimator, and only cf-sucre sizes its
+    nearby sets by ``nearby_method``; bcf makes no decision, so its ``kind``
+    is only a label. :func:`run_attempt` checks the same pairing.
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == "ce-sucre":
+        return EstimatorSpec(kind="cellular")
+    return EstimatorSpec(kind=kind,
+                         nearby_method=nearby_method if protocol == "cf-sucre" else "fixed")
 
 
 def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
@@ -80,7 +94,6 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     serving = build_serving_sets(activity, l_max, config.noise_mw)
     served = serving.mask.any(axis=1)[pilots]
     members = natural_sets(beta_act, config)
-    alpha_true = np.where(serving.mask, alpha_lt, 0.0).sum(axis=1)
     used = np.zeros(config.num_pilots, dtype=bool)
     used[pilots] = True
     served_active = (serving.mask & used[:, None]).sum(axis=0)[serving.mask.any(axis=0)]
@@ -116,8 +129,8 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     admit = spatial_separability_admit(members[winners], pilots[winners], serving.mask)
     return AttemptOutcome(
         ues=active, pilots=pilots, served=served, repeat=repeat, alpha_hat=alpha_hat,
-        alpha_true=alpha_true, admitted=active[winners[admit]],
-        active_pilots=int(used.sum()), operative_ap_count=int(served_active.size),
+        admitted=active[winners[admit]], active_pilots=int(used.sum()),
+        operative_ap_count=int(served_active.size),
         served_active_per_ap=int(served_active.sum()) / max(served_active.size, 1),
         q_eff_mean=q_eff_mean)
 

@@ -1,10 +1,11 @@
-"""Experiment sweep orchestration.
+"""The two report tables: the campaign sweep over |U| and the estimator bench.
 
-A :class:`SweepDescriptor` names one of the three figure classes, which fixes
-the varied axis, the axis values and the trial budget; :func:`run_sweep`
-executes the points in deterministic order and :func:`write_outputs`
-serializes a CSV of :class:`~cfra.metrics.MetricsReport` rows plus a JSON
-run manifest. The closed-form separability curve is ``cfra analyze``'s table.
+A :class:`SweepDescriptor` names the |U| values, protocols, estimators and
+trial budget of a campaign sweep, which :func:`run_sweep` executes in
+deterministic order; :func:`bench_point` is one row of the estimator table.
+:func:`write_outputs` writes either table of
+:class:`~cfra.metrics.MetricsReport` rows plus a JSON run manifest. The
+closed-form separability curve is ``cfra analyze``'s table.
 """
 
 from __future__ import annotations
@@ -18,25 +19,16 @@ import numpy as np
 
 from . import __version__
 from .bench import run_estimator_bench
-from .contention import PROTOCOLS, run_access_campaign
-from .estimators import CF_ESTIMATORS, NEARBY_METHODS, EstimatorSpec, best_pair
+from .contention import PROTOCOLS, protocol_spec, run_access_campaign
+from .estimators import CF_ESTIMATORS, NEARBY_METHODS, best_pair
 from .metrics import MetricsReport, iqr, tcp, write_reports
 from .scenario import ScenarioConfig
-
-FIGURE_CLASSES = ("estimator-bench", "anaa-sweep", "ee-sweep")
-
-_AXES = {
-    "estimator-bench": "collision_size",
-    "anaa-sweep": "num_inactive_ues",
-    "ee-sweep": "num_inactive_ues",
-}
 
 
 @dataclass(frozen=True)
 class SweepDescriptor:
-    """What to sweep: figure class, axis values, protocols/estimators, budget."""
+    """What to sweep: |U| values, protocols/estimators, budget."""
 
-    figure_class: str
     values: tuple = ()
     trials: int = 100
     seed: int = 0
@@ -45,11 +37,10 @@ class SweepDescriptor:
     nearby_method: str = "fixed"
 
     def __post_init__(self):
-        if self.figure_class not in FIGURE_CLASSES:
-            raise ValueError(
-                f"figure_class must be one of {FIGURE_CLASSES}, got {self.figure_class!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not self.protocols or not self.estimators:
+            raise ValueError("a sweep needs at least one protocol and one estimator")
         for proto in self.protocols:
             if proto not in PROTOCOLS:
                 raise ValueError(f"unknown protocol {proto!r}")
@@ -59,35 +50,28 @@ class SweepDescriptor:
         if self.nearby_method not in NEARBY_METHODS:
             raise ValueError(f"unknown nearby_method {self.nearby_method!r}")
 
-    @property
-    def axis(self) -> str:
-        """The config field this figure class sweeps."""
-        return _AXES[self.figure_class]
 
-
-def bench_point(desc: SweepDescriptor, size: int, kind: str,
-                config: ScenarioConfig, rng) -> MetricsReport:
+def bench_point(size: int, kind: str, config: ScenarioConfig, rng,
+                trials: int, seed: int) -> MetricsReport:
     """One estimator-bench row: NMSE/NEB/NMD of ``kind`` at collision size ``size``."""
     nearby_size, l_max = best_pair(kind, size)
     result = run_estimator_bench(
         kind, size, nearby_size, l_max, config, rng,
-        num_setups=desc.trials, num_realizations=100)
+        num_setups=trials, num_realizations=100)
     return MetricsReport(
-        sweep_axis=desc.axis, sweep_value=float(size),
+        sweep_axis="collision_size", sweep_value=float(size),
         protocol="ce-sucre" if kind == "cellular" else "cf-sucre",
-        estimator=kind, nearby_method=desc.nearby_method,
+        estimator=kind, nearby_method="fixed",
         nmse_median=float(np.median(result.nmse)), nmse_iqr=iqr(result.nmse),
         neb_median=float(np.median(result.neb)), neb_iqr=iqr(result.neb),
         nmd_mean=float(np.nanmean(result.nmd)),
-        trials=desc.trials, seed=desc.seed)
+        trials=trials, seed=seed)
 
 
 def _campaign_point(desc: SweepDescriptor, num_ues: int, protocol: str,
                     kind: str, config: ScenarioConfig, rng) -> MetricsReport:
     point_config = replace(config, num_inactive_ues=num_ues)
-    spec = EstimatorSpec(kind=kind, nearby_method=desc.nearby_method) \
-        if protocol == "cf-sucre" else \
-        EstimatorSpec(kind="cellular" if protocol == "ce-sucre" else kind)
+    spec = protocol_spec(protocol, kind, desc.nearby_method)
     anaa_vals, tcp_vals = [], []
     for _ in range(desc.trials):
         result = run_access_campaign(protocol, spec, point_config, rng)
@@ -96,7 +80,7 @@ def _campaign_point(desc: SweepDescriptor, num_ues: int, protocol: str,
         anaa_vals.append(result.anaa)
         tcp_vals.append(tcp(protocol, result, point_config))
     return MetricsReport(
-        sweep_axis=desc.axis, sweep_value=float(num_ues),
+        sweep_axis="num_inactive_ues", sweep_value=float(num_ues),
         protocol=protocol, estimator=spec.kind, nearby_method=spec.nearby_method,
         anaa=float(np.mean(anaa_vals)) if anaa_vals else float("nan"),
         tcp_mw_symbols=float(np.mean(tcp_vals)) if tcp_vals else float("nan"),
@@ -104,42 +88,37 @@ def _campaign_point(desc: SweepDescriptor, num_ues: int, protocol: str,
 
 
 def run_sweep(desc: SweepDescriptor, config: ScenarioConfig) -> list[MetricsReport]:
-    """Execute every sweep point in order (:func:`write_outputs` saves them)."""
+    """Execute every sweep point in order (:func:`write_outputs` saves them).
+
+    cf-sucre runs every listed estimator; bcf and ce-sucre give one row per
+    |U|, under the first.
+    """
     rng = np.random.default_rng(desc.seed)
     reports: list[MetricsReport] = []
     for value in desc.values:
-        value = int(value)
-        if desc.figure_class == "estimator-bench":
-            kinds = list(desc.estimators)
-            if "ce-sucre" in desc.protocols:
-                kinds.append("cellular")
+        for protocol in desc.protocols:
+            kinds = desc.estimators if protocol == "cf-sucre" else desc.estimators[:1]
             for kind in kinds:
-                reports.append(bench_point(desc, value, kind, config, rng))
-        else:
-            for protocol in desc.protocols:
-                kinds = desc.estimators if protocol == "cf-sucre" else (desc.estimators[0],)
-                for kind in kinds:
-                    reports.append(_campaign_point(desc, value, protocol, kind, config, rng))
+                reports.append(_campaign_point(desc, int(value), protocol, kind, config, rng))
     return reports
 
 
-def write_outputs(desc: SweepDescriptor, config: ScenarioConfig,
-                  reports, out_dir) -> tuple[Path, Path]:
-    """Serialize the CSV of reports and the JSON run manifest."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{desc.figure_class}.csv"
-    manifest_path = out_dir / f"{desc.figure_class}.manifest.json"
-    write_reports(reports, csv_path)
+def write_outputs(reports, path, config: ScenarioConfig, arguments: dict) -> Path:
+    """Write the report table to ``path`` and its run manifest next to it.
+
+    The table is JSON if ``path`` ends in ``.json``, else CSV; the manifest
+    ``<stem>.manifest.json`` records the run's ``arguments``, the scenario
+    config and the row count. Returns the manifest's path.
+    """
+    path = Path(path)
+    write_reports(reports, path)
     manifest = {
         "provenance": f"cfra {__version__} python {platform.python_version()} "
                       f"numpy {np.__version__}",
-        "seed": desc.seed,
-        "descriptor": {**asdict(desc), "values": list(desc.values),
-                       "protocols": list(desc.protocols),
-                       "estimators": list(desc.estimators)},
+        "arguments": arguments,
         "config": asdict(config),
         "rows": len(reports),
     }
+    manifest_path = path.with_name(f"{path.stem}.manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return csv_path, manifest_path
+    return manifest_path

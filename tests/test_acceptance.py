@@ -171,8 +171,7 @@ def test_criterion_09_protocol_ordering():
 
 
 def test_criterion_10_analysis_vs_simulation():
-    cfg0 = ScenarioConfig()
-    exact = separability_prediction(cfg0, num_inactive_ues=1000)
+    exact = separability_prediction(ScenarioConfig(num_inactive_ues=1000))
     ok = exact.avg_collision_size <= 1.0 and exact.psi == 1.0
     rows = []
     for num in (1000, 10000):
@@ -188,7 +187,7 @@ def test_criterion_10_analysis_vs_simulation():
             admitted += len(out.admitted)
             active += act.size
         frac = admitted / active
-        psi = separability_prediction(cfg, num_inactive_ues=num).psi
+        psi = separability_prediction(cfg).psi
         ok &= abs(frac - psi) <= 0.1
         rows.append(f"|U|={num}: sim {frac:.3f} vs psi {psi:.3f}")
     assert _report(10, ok, "; ".join(rows))

@@ -104,8 +104,7 @@ def test_runtime_imports_no_scipy():
 
 
 def test_separability_prediction_reference_point():
-    cfg = ScenarioConfig()
-    pred = separability_prediction(cfg, num_inactive_ues=1000)
+    pred = separability_prediction(ScenarioConfig(num_inactive_ues=1000))
     # <= one expected collider: no contention, every nearby AP exclusive
     assert pred.avg_collision_size <= 1.0
     assert pred.psi == 1.0
@@ -114,10 +113,9 @@ def test_separability_prediction_reference_point():
 
 
 def test_separability_psi_nonincreasing():
-    cfg = ScenarioConfig()
     last = 2.0
     for num in (1000, 2000, 5000, 10000, 50000):
-        pred = separability_prediction(cfg, num_inactive_ues=num)
+        pred = separability_prediction(ScenarioConfig(num_inactive_ues=num))
         assert pred.psi <= last + 1e-12
         assert 0.0 <= pred.psi <= 1.0
         last = pred.psi

@@ -1,8 +1,10 @@
 """End-to-end CLI coverage: exit codes, file outputs, formats."""
 
+import argparse
 import csv
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import cfra
 from cfra.cli import build_parser, main
 from cfra.metrics import read_reports
 from cfra.scenario import ScenarioConfig
-from cfra.sweeps import SweepDescriptor, bench_point
+from cfra.sweeps import bench_point
 
 
 @pytest.fixture
@@ -52,6 +54,14 @@ def test_analyze_separability_rows(tmp_path):
     assert all(0.0 < r["exclusive_aps"] <= 64 for r in rows)
 
 
+def test_analyze_rejects_non_physical_ue_counts(tmp_path, capsys):
+    """Each |U| point is a scenario config, so |U| < 1 fails its validation:
+    exit 1, and no table is written."""
+    assert main(["analyze", "--out", str(tmp_path), "--num-ues", "1000", "-1000", "0"]) == 1
+    assert "num_inactive_ues" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_analyze_json(tmp_path):
     assert main(["analyze", "--out", str(tmp_path), "--format", "json",
                  "--num-ues", "2e3"]) == 0
@@ -69,12 +79,16 @@ def test_simulate(tmp_path, small_cfg):
 
 
 def test_sweep_writes_manifest(tmp_path, small_cfg):
-    code = main(["sweep", "--config", str(small_cfg), "--out", str(tmp_path),
-                 "--figure-class", "anaa-sweep", "--values", "200", "--trials", "2",
-                 "--protocols", "bcf"])
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(small_cfg), "--out", str(out),
+                 "--values", "200", "--trials", "2", "--protocols", "bcf"])
     assert code == 0
-    assert (tmp_path / "anaa-sweep.csv").exists()
-    assert (tmp_path / "anaa-sweep.manifest.json").exists()
+    assert sorted(f.name for f in out.iterdir()) == ["sweep.csv", "sweep.manifest.json"]
+    manifest = json.loads((out / "sweep.manifest.json").read_text())
+    assert manifest["arguments"] == {"seed": 0, "trials": 2, "values": [200.0],
+                                     "protocols": ["bcf"], "estimators": ["est2"],
+                                     "nearby_method": "fixed"}
+    assert manifest["rows"] == 1
 
 
 def test_train_lmax(tmp_path, small_cfg):
@@ -96,11 +110,19 @@ def test_calibrate_delta(tmp_path, small_cfg):
 
 def test_estimators_bench(tmp_path, small_cfg):
     code = main(["estimators-bench", "--config", str(small_cfg),
-                 "--out", str(tmp_path), "--trials", "2",
+                 "--out", str(tmp_path), "--trials", "5",
                  "--collision-sizes", "2", "--estimators", "est1", "cellular"])
     assert code == 0
-    rows = _read_csv(tmp_path / "estimators-bench.csv")
-    assert [r["estimator"] for r in rows] == ["est1", "cellular"]
+    reports = read_reports(tmp_path / "estimators-bench.csv")
+    assert [(r.estimator, r.protocol, r.nearby_method) for r in reports] == [
+        ("est1", "cf-sucre", "fixed"), ("cellular", "ce-sucre", "fixed")]
+    for r in reports:
+        assert np.isfinite(r.nmse_median)
+        assert np.isfinite(r.neb_median)
+    manifest = json.loads((tmp_path / "estimators-bench.manifest.json").read_text())
+    assert manifest["arguments"]["estimators"] == ["est1", "cellular"]
+    assert manifest["config"]["num_inactive_ues"] == 200
+    assert manifest["rows"] == 2
 
 
 def test_estimators_bench_csv_reads_back_as_reports(tmp_path, small_cfg):
@@ -119,9 +141,8 @@ def test_estimators_bench_rows_are_sweep_bench_points(tmp_path):
                  "--estimators", "est2", "cellular"]) == 0
     rows = json.loads((tmp_path / "estimators-bench.json").read_text())
     cfg = ScenarioConfig()
-    desc = SweepDescriptor(figure_class="estimator-bench", values=(1, 3), trials=2, seed=4)
     rng = np.random.default_rng(4)
-    expect = [asdict(bench_point(desc, size, kind, cfg, rng))
+    expect = [asdict(bench_point(size, kind, cfg, rng, trials=2, seed=4))
               for size in (1, 3) for kind in ("est2", "cellular")]
     assert len(rows) == len(expect)
     for got, want in zip(rows, expect):
@@ -142,7 +163,7 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("num_pilots = 0\n")
     code = main(["sweep", "--config", str(path), "--out", str(tmp_path),
-                 "--figure-class", "anaa-sweep", "--values", "100"])
+                 "--values", "100"])
     assert code == 1
     assert f"error: {path}: num_pilots" in capsys.readouterr().err
 
@@ -164,6 +185,24 @@ def test_readme_cli_lines_parse():
     parser = build_parser()
     for argv in commands:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_readme_flags_table_matches_parser():
+    """The README's flags table lists exactly the flags each subcommand
+    declares, besides the shared --config, --out and --format."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            table[cells[0].strip("`")] = set(re.findall(r"`(--[a-z-]+)`", cells[1]))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    shared = {"-h", "--help", "--config", "--out", "--format"}
+    declared = {name: {opt for action in sub._actions for opt in action.option_strings} - shared
+                for name, sub in subparsers.choices.items()}
+    assert table == declared
 
 
 def _run_cli(*argv):
@@ -197,13 +236,13 @@ def test_calibrate_delta_uneven_draws_is_a_validation_failure(tmp_path):
     ["analyze", "--seed", "1"],
     ["train-lmax", "--trials", "5"],
     ["calibrate-delta", "--trials", "5"],
-    ["sweep", "--figure-class", "anaa-sweep", "--values", "1000.5"],
+    ["sweep", "--values", "1000.5"],
     ["analyze", "--num-ues", "2500.5"],
     ["calibrate-delta", "--draws", "0"],
-    ["sweep", "--figure-class", "separability", "--values", "1000"],
-    ["sweep", "--figure-class", "anaa-sweep", "--values", "100", "--protocols", "aloha"],
-    ["sweep", "--figure-class", "anaa-sweep", "--values", "100", "--estimators", "est9"],
-    ["sweep", "--figure-class", "anaa-sweep", "--values", "100", "--estimators", "cellular"],
+    ["sweep", "--figure-class", "anaa-sweep", "--values", "1000"],
+    ["sweep", "--values", "100", "--protocols", "aloha"],
+    ["sweep", "--values", "100", "--estimators", "est9"],
+    ["sweep", "--values", "100", "--estimators", "cellular"],
     ["estimators-bench", "--estimators", "est9"],
 ])
 def test_parser_rejects_unread_or_invalid_flags(argv, tmp_path, capsys):
@@ -215,12 +254,15 @@ def test_parser_rejects_unread_or_invalid_flags(argv, tmp_path, capsys):
 
 
 def test_sweep_json_holds_the_csv_rows(tmp_path, small_cfg):
-    assert main(["sweep", "--config", str(small_cfg), "--out", str(tmp_path),
-                 "--figure-class", "anaa-sweep", "--values", "200", "2e2",
-                 "--protocols", "bcf", "cf-sucre", "--trials", "2", "--seed", "5",
-                 "--format", "json"]) == 0
-    from_json = json.loads((tmp_path / "anaa-sweep.json").read_text())
-    from_csv = [asdict(r) for r in read_reports(tmp_path / "anaa-sweep.csv")]
+    """``--format json`` writes the rows the CSV run writes, and no CSV."""
+    for fmt in ("csv", "json"):
+        assert main(["sweep", "--config", str(small_cfg), "--out", str(tmp_path / fmt),
+                     "--values", "200", "2e2", "--protocols", "bcf", "cf-sucre",
+                     "--trials", "2", "--seed", "5", "--format", fmt]) == 0
+        assert sorted(f.name for f in (tmp_path / fmt).iterdir()) == [
+            f"sweep.{fmt}", "sweep.manifest.json"]
+    from_json = json.loads((tmp_path / "json" / "sweep.json").read_text())
+    from_csv = [asdict(r) for r in read_reports(tmp_path / "csv" / "sweep.csv")]
     assert len(from_json) == len(from_csv) == 4
     for got, want in zip(from_json, from_csv):
         assert got.keys() == want.keys()

@@ -5,8 +5,8 @@ import pytest
 
 from cfra import contention
 from cfra.channel import activate
-from cfra.contention import (AttemptOutcome, run_access_campaign, run_attempt,
-                             spatial_separability_admit)
+from cfra.contention import (AttemptOutcome, protocol_spec, run_access_campaign,
+                             run_attempt, spatial_separability_admit)
 from cfra.estimators import EstimatorSpec, knowledge_for, sucre_decision
 from cfra.scenario import ScenarioConfig, Topology, build_topology, natural_sets
 
@@ -120,6 +120,21 @@ def test_run_attempt_validation():
         run_attempt("ce-sucre", EstimatorSpec(kind="est1"), topo, [0], rng)
     with pytest.raises(ValueError):
         run_attempt("cf-sucre", EstimatorSpec(kind="cellular"), topo, [0], rng)
+
+
+def test_protocol_spec_pairs_each_protocol_with_its_estimator():
+    """ce-sucre always runs the cellular estimator, and only cf-sucre keeps
+    the nearby method; every spec it gives passes run_attempt's pairing check."""
+    assert protocol_spec("ce-sucre", "est2", "greedy") == EstimatorSpec(kind="cellular")
+    assert protocol_spec("bcf", "est3", "greedy") == EstimatorSpec(kind="est3")
+    assert protocol_spec("cf-sucre", "est3", "greedy") == EstimatorSpec("est3", "greedy")
+    with pytest.raises(ValueError):
+        protocol_spec("lte", "est2", "fixed")
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(0)
+    topo = build_topology(cfg, rng, num_ues=3)
+    for protocol in contention.PROTOCOLS:
+        run_attempt(protocol, protocol_spec(protocol, "est1", "greedy"), topo, [0, 1], rng)
 
 
 def test_run_attempt_empty_active_set():
