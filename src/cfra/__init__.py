@@ -13,8 +13,7 @@ from .access import (DownlinkObservation, ServingSets, build_serving_sets,
                      conditional_channels, downlink_observation, large_n_observation,
                      precoder_weights, true_alpha_lt)
 from .analysis import (SeparabilityPrediction, distance_cdf, distance_pdf,
-                       expected_overlap_area, overlap_area,
-                       separability_prediction)
+                       expected_overlap_area, separability_prediction)
 from .bench import BenchResult, run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .channel import (activate, complex_noise, correlate_uplink, draw_channels,
@@ -27,11 +26,10 @@ from .estimators import (BEST_PAIRS, CF_ESTIMATORS, ESTIMATOR_KINDS,
                          best_pair, cpu_alpha_hat, estimate, estimate_2_per_ap,
                          estimate_cellular, greedy_flexible_decide, knowledge_for,
                          sucre_decision)
-from .metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
-                      write_reports, write_table)
+from .metrics import CSV_COLUMNS, MetricsReport, iqr, tcp, write_reports, write_table
 from .scenario import (ScenarioConfig, Topology, ap_grid, bs_topology,
                        build_topology, db_to_linear, limit_distance,
-                       linear_to_db, load_config, natural_sets, pathloss_beta)
+                       load_config, natural_sets, pathloss_beta)
 from .sweeps import SweepDescriptor, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

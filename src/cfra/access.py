@@ -79,18 +79,12 @@ class DownlinkObservation:
 
 def true_alpha_lt(beta_active: np.ndarray, pilots: np.ndarray,
                   config: ScenarioConfig) -> np.ndarray:
-    """Ground-truth per-(pilot, AP) UL signal power, shape (T, L)."""
-    alpha = np.zeros((config.num_pilots, beta_active.shape[1]))
+    """Ground-truth per-(pilot, AP) UL signal power (..., T, L) of the gain rows (..., K, L)."""
+    alpha = np.zeros(beta_active.shape[:-2] + (config.num_pilots, beta_active.shape[-1]))
     for t, members in kernels.pilot_groups(pilots, config.num_pilots):
-        alpha[t] = config.ul_power_mw * config.num_pilots * beta_active[members].sum(axis=0)
+        alpha[..., t, :] = (config.ul_power_mw * config.num_pilots
+                            * beta_active[..., members, :].sum(axis=-2))
     return alpha
-
-
-def _at_slots(values: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """Per-(pilot, AP) ``values`` (..., T, L) at each pilot's slots (..., T, J);
-    ``values`` may omit the leading axes of ``slots``."""
-    shape = slots.shape[:-1] + values.shape[-1:]
-    return np.take_along_axis(np.broadcast_to(values, shape), slots, axis=-1)
 
 
 def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarray,
@@ -148,9 +142,10 @@ def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active
     """Correlated scalar z_k at every transmitting UE, shape (..., K).
 
     ``activity`` is the activity matrix A_lt = ||y_lt||^2 / N (..., T, L)
-    drawn under the gains ``beta_active`` (K, L), whose per-(pilot, AP)
-    signal power ``alpha_lt`` (T, L) is given by :func:`true_alpha_lt`;
-    ``serving`` and ``cpu_alpha_hat`` carry the leading axes of ``activity``.
+    drawn under the gains ``beta_active`` (..., K, L), whose per-(pilot, AP)
+    signal power ``alpha_lt`` (..., T, L) is given by :func:`true_alpha_lt`;
+    the leading axes of both broadcast against those of ``activity``, and
+    ``serving`` and ``cpu_alpha_hat`` carry them in full.
     The channels are drawn here, at each pilot's serving slots only and
     conditioned on ||y_lt|| = sqrt(N A_lt) (:func:`conditional_channels`).
     Giving ``cpu_alpha_hat`` selects normalized precoding (see
@@ -159,13 +154,21 @@ def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active
     scale, q_eff = precoder_weights(activity, serving.mask, config, cpu_alpha_hat)
     # slot j of pilot t is its j-th strongest AP; slots past size[t] carry scale 0
     slots = serving.order[..., :int(serving.size[..., pilots].max(initial=0))]  # (..., T, J)
-    energy = config.antennas_per_ap * _at_slots(activity, slots)       # ||y_lt||^2 (..., T, J)
+    ue_slots = slots[..., pilots, :]                                   # (..., K, J)
+    # one gather for every per-(row, AP) table: an open grid over the leading axes
+    lead, pilot_rows = slots.shape[:-2], np.arange(slots.shape[-2])
+    grid = tuple(i[..., None, None] for i in np.indices(lead, sparse=True))
+
+    def gather(values, rows, at):
+        return np.broadcast_to(values, lead + values.shape[-2:])[grid + (rows[:, None], at)]
+
+    energy = config.antennas_per_ap * gather(activity, pilot_rows, slots)
     y_norm = np.swapaxes(np.sqrt(energy), -1, -2)[..., None]          # (..., J, T, 1)
-    beta_at = beta_active[np.arange(pilots.size)[:, None], slots[..., pilots, :]]  # (..., K, J)
-    v_at = _at_slots(alpha_lt + config.noise_mw, slots)[..., pilots, :]
+    beta_at = gather(beta_active, np.arange(pilots.size), ue_slots)   # (..., K, J)
+    v_at = gather(alpha_lt + config.noise_mw, pilots, ue_slots)
     h = conditional_channels(y_norm, beta_at, v_at, pilots, config, rng)
     eta = complex_noise(beta_at.shape[:-1], config.noise_mw, rng)
-    z = kernels.observe_downlink(h, y_norm, pilots, _at_slots(scale, slots), eta)
+    z = kernels.observe_downlink(h, y_norm, pilots, gather(scale, pilot_rows, slots), eta)
 
     served = serving.mask.any(axis=-1)[..., pilots]
     return DownlinkObservation(z=z, served=served, effective_dl_power=q_eff)

@@ -53,15 +53,6 @@ def distance_pdf(d: float, side: float) -> float:
     return scale * sum(c * d ** n for n, c in enumerate(coeffs, start=1))
 
 
-def overlap_area(d: float, radius: float) -> float:
-    """Lens area of two equal circles with centers ``d`` apart; 0 beyond 2r."""
-    if d >= 2.0 * radius:
-        return 0.0
-    h1 = 2.0 * radius ** 2 * math.acos(d / (2.0 * radius))
-    h2 = (d / 2.0) * math.sqrt(4.0 * radius ** 2 - d * d)
-    return h1 - h2
-
-
 def expected_overlap_area(d_lim: float, side: float) -> float:
     """Unconditional expectation of the overlap of two influence disks.
 

@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimators-bench", parents=[files, seed, trials],
                        help="NMSE/NEB of the estimators")
-    p.add_argument("--collision-sizes", type=int, nargs="+",
+    p.add_argument("--collision-sizes", type=_count, nargs="+",
                    default=list(range(1, 11)))
     p.add_argument("--estimators", choices=ESTIMATOR_KINDS, nargs="+",
                    default=list(ESTIMATOR_KINDS))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .scenario import ScenarioConfig, parse_field
+from .scenario import ScenarioConfig
 
 
 def iqr(values) -> float:
@@ -83,12 +83,3 @@ def write_table(rows: list[dict], path, columns) -> None:
 
 def write_reports(reports, path) -> None:
     write_table([asdict(r) for r in reports], path, CSV_COLUMNS)
-
-
-def read_reports(path) -> list[MetricsReport]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        return [MetricsReport(**{f.name: parse_field(f, row[f.name])
-                                 for f in fields(MetricsReport)}) for row in reader]

@@ -24,11 +24,6 @@ def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0) if isinstance(value_db, np.ndarray) else 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value):
-    """Inverse of :func:`db_to_linear`."""
-    return 10.0 * (np.log10(value) if isinstance(value, np.ndarray) else math.log10(value))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Physical and protocol constants plus experiment controls.
@@ -198,8 +193,9 @@ class Topology:
 
 
 def _distances(ue_positions: np.ndarray, ap_positions: np.ndarray) -> np.ndarray:
-    diff = ue_positions[:, None, :] - ap_positions[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    dx = ue_positions[:, None, 0] - ap_positions[None, :, 0]
+    dy = ue_positions[:, None, 1] - ap_positions[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def _grown(table: np.ndarray, capacity: int, used: int) -> np.ndarray:

@@ -21,9 +21,9 @@ from cfra.channel import pilot_activity
 from cfra.contention import run_access_campaign, run_attempt
 from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate,
                              estimate_2_per_ap, estimate_cellular, knowledge_for)
-from cfra.metrics import CSV_COLUMNS, MetricsReport, read_reports, tcp, write_reports
-from cfra.scenario import (ScenarioConfig, build_topology, limit_distance,
-                           linear_to_db, pathloss_beta)
+from cfra.metrics import CSV_COLUMNS, MetricsReport, tcp, write_reports
+from cfra.scenario import ScenarioConfig, build_topology, limit_distance, pathloss_beta
+from helpers import linear_to_db, read_reports
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:

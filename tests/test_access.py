@@ -123,6 +123,18 @@ def test_true_alpha_lt_values():
     assert np.allclose(alpha[0], 0.0)
 
 
+def test_true_alpha_lt_stacked_rows_equal_per_slice_calls():
+    """Gain rows on leading axes (S, 1, K, L) give each slice's (T, L) bit for bit."""
+    cfg = ScenarioConfig()
+    rng = np.random.default_rng(3)
+    beta = build_topology(cfg, rng, num_ues=4 * 6).beta.reshape(4, 1, 6, cfg.num_aps)
+    pilots = rng.integers(0, cfg.num_pilots, size=6)
+    stacked = true_alpha_lt(beta, pilots, cfg)
+    assert stacked.shape == (4, 1, cfg.num_pilots, cfg.num_aps)
+    for s in range(4):
+        assert np.array_equal(stacked[s, 0], true_alpha_lt(beta[s, 0], pilots, cfg))
+
+
 def test_standard_precoding_power_accounting():
     """Every serving AP spends exactly q_l per served pilot."""
     cfg = ScenarioConfig()

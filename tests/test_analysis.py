@@ -12,8 +12,9 @@ from scipy.integrate import quad
 
 import cfra
 from cfra.analysis import (distance_cdf, distance_pdf, expected_overlap_area,
-                           overlap_area, separability_prediction)
+                           separability_prediction)
 from cfra.scenario import ScenarioConfig, limit_distance
+from helpers import overlap_area
 
 SIDE = 400.0
 

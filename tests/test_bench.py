@@ -2,19 +2,83 @@
 
 The values were recorded with the sampler that draws the activity matrix
 ||y_lt||^2 / N from its Gamma law and the channels only at the serving APs,
-given ||y_lt||; they must be reproduced exactly.
+given ||y_lt||; they must be reproduced exactly. The bench stacks its setups
+in one pass, so its stream differs from a per-setup loop's; a one-setup call
+still draws exactly what one setup of that loop drew (``SINGLE_SETUP_BENCH``),
+and both streams have one law.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from cfra.bench import run_estimator_bench
+from cfra import bench
+from cfra.bench import SETUP_BLOCK, run_estimator_bench
 from cfra.calibration import TrainingConfig, calibrate_delta, train_lmax
-from cfra.estimators import best_pair
+from cfra.estimators import ESTIMATOR_KINDS, best_pair
 from cfra.scenario import ScenarioConfig
 
-# (kind, collision size) -> (nmse, neb, nmd); 2 setups x 16 realizations, seed 11
+# (kind, collision size) -> (nmse, neb, nmd); 2 setups stacked x 16 realizations, seed 11
 PINNED_BENCH = {
+    ("est1", 1): (
+        [1.548248470555708e-06, 2.5481158662837867e-07],
+        [0.0011101752109224736, 0.0002522033636087289],
+        [-0.0011104899607676864, -0.0002523943277038641],
+    ),
+    ("est1", 3): (
+        [0.523147098829594, 0.23489980120964696, 0.07586788155631269, 0.15246585758339315,
+         0.18184866516836112, 2.846569792453213e+32],
+        [-0.7076068377549096, -0.43157161382163, -0.274499089428559, -0.2873289859545556,
+         -0.2713175078380468, 7688073196832692.0],
+        [-2.0331356909611804, -0.14805644032771026, -0.06799803624406495, -0.18679089566157042,
+         -0.3757421756421192, -325.495256622721],
+    ),
+    ("est2", 1): (
+        [0.001248613449376902, 0.0013156122427421982],
+        [-0.03480477379329976, 0.006313769287604734],
+        [0.03640614886949131, 0.006947689488143114],
+    ),
+    ("est2", 3): (
+        [0.5573468697803913, 0.17671753639038465, 0.052758938089044076, 0.09935462773392757,
+         0.11004329101190184, 0.33325200377731967],
+        [-0.7430601174110263, -0.38650710135719085, -0.1416873932539151, -0.11949279404445842,
+         -0.24257073238597643, -0.4208909266719774],
+        [-0.2557398740912817, -0.06533058543782394, -0.04271517859623519, -0.07673489610276711,
+         -0.06433205342693994, -0.30245101983032285],
+    ),
+    ("est3", 1): (
+        [0.009277180384369072, 0.0],
+        [0.04121115156162018, 0.0],
+        [-0.04701905313434965, 0.0],
+    ),
+    ("est3", 3): (
+        [0.6278655318620998, 0.4681135492095281, 0.08012223930232094, 0.17361380109353478,
+         0.20634374291495577, 9.944559441431674e+30],
+        [-0.7848786120999697, -0.6841909975123519, -0.28305658860934746, -0.41711799304675484,
+         -0.4548303197677019, 2032190249059098.0],
+        [-2.114395131812438, -0.1576980784264166, -0.07210383159289321, -0.1958410004176618,
+         -0.3927415798433954, -334.72238417429486],
+    ),
+    ("cellular", 1): (
+        [0.018292653042824864, 0.011056180338879583],
+        [0.07961182819993141, 0.05188307177414287],
+        [0.0, 0.0],
+    ),
+    ("cellular", 3): (
+        [0.08318693112126423, 0.20156005189572773, 0.3490100519794672, 1.6241712598562954e+25,
+         1.0104912722907392e+26, 0.009797290215026821],
+        [0.14883657393918712, 0.02086555884037389, -0.011263356062845233, 1745084843849.475,
+         2513079873746.033, 0.0367092695871038],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    ),
+}
+
+# (kind, collision size) -> (nmse, neb, nmd) of two one-setup calls on one generator
+# (the per-setup loop's stream); 16 realizations, seed 11
+SINGLE_SETUP_BENCH = {
     ("est1", 1): (
         [1.1111686926387552e-06, 1.9288963104352977e-06],
         [0.0009405937543454905, 0.0006574023694897983],
@@ -82,6 +146,79 @@ def test_bench_pinned_at_fixed_seed(kind, size):
                               np.random.default_rng(11), num_setups=2, num_realizations=16)
     for name, want in zip(("nmse", "neb", "nmd"), PINNED_BENCH[kind, size]):
         assert getattr(res, name).tolist() == want, name
+
+
+@pytest.mark.parametrize("kind, size", sorted(SINGLE_SETUP_BENCH))
+def test_single_setup_calls_reproduce_the_setup_loop(kind, size):
+    """Two one-setup calls on one generator give the per-setup loop's values."""
+    nearby, l_max = best_pair(kind, size)
+    rng = np.random.default_rng(11)
+    runs = [run_estimator_bench(kind, size, nearby, l_max, ScenarioConfig(), rng,
+                                num_setups=1, num_realizations=16) for _ in range(2)]
+    for i, name in enumerate(("nmse", "neb", "nmd")):
+        got = np.concatenate([getattr(r, name) for r in runs]).tolist()
+        assert got == SINGLE_SETUP_BENCH[kind, size][i], name
+
+
+KS_CASES = [(kind, size) for kind in ESTIMATOR_KINDS for size in (1, 3, 7)]
+KS_SETUPS, KS_REALIZATIONS = 120, 32
+# two statistics per case; Bonferroni keeps the whole family's false-alarm rate at 1 %
+KS_FAMILY_ALPHA = 0.01
+KS_TEST_ALPHA = KS_FAMILY_ALPHA / (2 * len(KS_CASES))
+
+
+@pytest.mark.parametrize("kind, size", KS_CASES)
+def test_one_call_over_many_setups_has_the_single_setup_law(kind, size):
+    """Per-setup NMSE and NEB (mean over the setup's UEs) of one call over
+    ``KS_SETUPS`` setups against a loop of one-setup calls: two-sample KS."""
+    nearby, l_max = best_pair(kind, size)
+    config = ScenarioConfig()
+    many = run_estimator_bench(kind, size, nearby, l_max, config, np.random.default_rng(21),
+                               num_setups=KS_SETUPS, num_realizations=KS_REALIZATIONS)
+    rng = np.random.default_rng(22)
+    loop = [run_estimator_bench(kind, size, nearby, l_max, config, rng,
+                                num_setups=1, num_realizations=KS_REALIZATIONS)
+            for _ in range(KS_SETUPS)]
+    for name in ("nmse", "neb"):
+        per_setup = getattr(many, name).reshape(KS_SETUPS, size).mean(axis=1)
+        reference = [getattr(r, name).mean() for r in loop]
+        p_value = ks_2samp(per_setup, reference).pvalue
+        assert p_value > KS_TEST_ALPHA, (name, p_value)
+
+
+def test_setups_run_in_fixed_blocks(monkeypatch):
+    """45 setups make ceil(45 / SETUP_BLOCK) stacked downlink passes, not 45."""
+    blocks = []
+    downlink = bench.downlink_observation
+
+    def spy(activity, *args, **kwargs):
+        blocks.append(activity.shape[0])
+        return downlink(activity, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "downlink_observation", spy)
+    nearby, l_max = best_pair("est2", 3)
+    res = run_estimator_bench("est2", 3, nearby, l_max, ScenarioConfig(),
+                              np.random.default_rng(3), num_setups=45, num_realizations=4)
+    assert len(blocks) == math.ceil(45 / SETUP_BLOCK)
+    assert sum(blocks) == 45
+    assert max(blocks) > 1, "each pass stacks several setups"
+    assert res.nmse.shape == res.neb.shape == res.nmd.shape == (45 * 3,)
+
+
+def test_bench_memory_is_flat_in_the_setup_count():
+    """The traced allocation peak at 100 setups stays within 1.3x of the peak at 20."""
+    nearby, l_max = best_pair("est2", 10)
+
+    def peak(setups):
+        tracemalloc.start()
+        try:
+            run_estimator_bench("est2", 10, nearby, l_max, ScenarioConfig(),
+                                np.random.default_rng(4), num_setups=setups)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(100) <= 1.3 * peak(20)
 
 
 @pytest.mark.parametrize("l_max", sorted(PINNED_DELTA))

@@ -16,9 +16,9 @@ import pytest
 
 import cfra
 from cfra.cli import build_parser, main
-from cfra.metrics import read_reports
 from cfra.scenario import ScenarioConfig
 from cfra.sweeps import bench_point
+from helpers import read_reports
 
 
 @pytest.fixture
@@ -219,6 +219,17 @@ def test_simulate_zero_trials_is_a_usage_error():
     assert out.returncode != 0
     assert "error:" in out.stderr and "--trials" in out.stderr
     assert "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+def test_estimators_bench_non_positive_size_is_a_usage_error(size, tmp_path):
+    """A collision size below 1 stops at the parser (exit 2), before any array is built."""
+    out = _run_cli("estimators-bench", "--collision-sizes", size, "--estimators", "cellular",
+                   "--trials", "1", "--out", str(tmp_path))
+    assert out.returncode == 2
+    assert "error:" in out.stderr and "--collision-sizes" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not any(tmp_path.iterdir())
 
 
 def test_calibrate_delta_uneven_draws_is_a_validation_failure(tmp_path):

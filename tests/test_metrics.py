@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cfra.contention import CampaignResult
-from cfra.metrics import (CSV_COLUMNS, MetricsReport, iqr, read_reports, tcp,
-                          write_reports)
+from cfra.metrics import CSV_COLUMNS, MetricsReport, iqr, tcp, write_reports
 from cfra.scenario import ScenarioConfig
+from helpers import read_reports
 
 
 def test_iqr():

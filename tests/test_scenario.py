@@ -7,10 +7,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from cfra.scenario import (MIN_DISTANCE_M, ScenarioConfig, Topology, ap_grid,
+from cfra.scenario import (MIN_DISTANCE_M, ScenarioConfig, Topology, _distances, ap_grid,
                            bs_topology, build_topology, db_to_linear,
-                           limit_distance, linear_to_db, load_config,
-                           natural_sets, pathloss_beta)
+                           limit_distance, load_config, natural_sets, pathloss_beta)
+from helpers import linear_to_db
 
 
 def test_db_roundtrip():
@@ -317,3 +317,16 @@ def test_bs_view_is_the_cached_single_bs_topology():
     # the view carries the single-BS config, read by whatever runs on it
     assert view.config == cfg.bs_config
     assert view.config is cfg.bs_config and topo.config is cfg
+
+
+@pytest.mark.parametrize("num_ues", [1, 10, 5000])
+def test_distances_equal_the_summed_square_form(num_ues):
+    """``_distances`` squares each coordinate gap on its own; the bits match
+    the (N, L, 2) difference tensor summed over its last axis."""
+    cfg = ScenarioConfig()
+    ues = np.random.default_rng(num_ues).uniform(0.0, cfg.square_length_m, (num_ues, 2))
+    centre = np.array([[cfg.square_length_m / 2.0, cfg.square_length_m / 2.0]])
+    for aps in (ap_grid(cfg.num_aps, cfg.square_length_m), centre):
+        diff = ues[:, None, :] - aps[None, :, :]
+        want = np.sqrt((diff ** 2).sum(axis=2))
+        assert _distances(ues, aps).tobytes() == want.tobytes()

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from cfra import sweeps
-from cfra.metrics import read_reports
 from cfra.scenario import ScenarioConfig
 from cfra.sweeps import SweepDescriptor, run_sweep, write_outputs
+from helpers import read_reports
 
 
 def test_descriptor_validation():
