@@ -172,25 +172,3 @@ def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active
 
     served = serving.mask.any(axis=-1)[..., pilots]
     return DownlinkObservation(z=z, served=served, effective_dl_power=q_eff)
-
-
-def large_n_observation(beta_active: np.ndarray, pilots: np.ndarray,
-                        serving_mask: np.ndarray, config: ScenarioConfig,
-                        cpu_alpha_hat: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic large-N value of Re(z_k)/sqrt(N) for every UE, shape (..., K).
-
-    Standard precoding (``cpu_alpha_hat`` is None) weighs each serving AP by
-    1/sqrt(alpha_lt + sigma^2); normalized precoding divides the summed
-    gains by sqrt(alpha_hat_t). UEs on an unserved pilot, or on a pilot with
-    alpha_hat_t = 0, get 0.
-    """
-    amplitude = np.sqrt(config.dl_power_per_ap_mw * config.ul_power_mw) * config.num_pilots
-    cte = amplitude * beta_active                                           # (K, L)
-    if cpu_alpha_hat is None:
-        alpha_lt = true_alpha_lt(beta_active, pilots, config)
-        per_ap = cte / np.sqrt(alpha_lt + config.noise_mw)[pilots]
-        return np.where(serving_mask[..., pilots, :], per_ap, 0.0).sum(axis=-1)
-    summed = np.where(serving_mask[..., pilots, :], cte, 0.0).sum(axis=-1)
-    alpha_k = cpu_alpha_hat[..., pilots]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(alpha_k > 0, summed / np.sqrt(alpha_k), 0.0)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import build_serving_sets, precoder_weights, true_alpha_lt
-from .channel import activate, pilot_activity, select_pilots
+from .channel import pilot_activity, select_pilots
 from .estimators import cpu_alpha_hat
 from .scenario import ScenarioConfig, build_topology
 
@@ -38,21 +38,21 @@ class TrainingConfig:
 def train_lmax(training: TrainingConfig, rng: np.random.Generator) -> tuple[int, list[float]]:
     """Serving-cap selection by averaged-activity thresholding.
 
-    Per round: draw the active set, average the activity matrix over the
+    Per round: drop the active set (a Binomial(|U|, p) count of UEs, as a
+    campaign block draws its arrivals), average the activity matrix over the
     repetitions, and count, for each truly used pilot, the APs at or above
     the row mean. The cap is the ceiling of the grand mean. Rounds without
     any active UE contribute nothing; all-empty training is an error.
     """
     config = training.scenario
-    topology = build_topology(config, rng)
-
     per_round: list[float] = []
     for _ in range(training.rounds):
-        active = activate(np.arange(config.num_inactive_ues), config.access_probability, rng)
-        if active.size == 0:
+        active = rng.binomial(config.num_inactive_ues, config.access_probability)
+        if active == 0:
             continue
-        pilots = select_pilots(active.size, config.num_pilots, rng)
-        alpha_lt = true_alpha_lt(topology.gains(active), pilots, config)
+        beta = build_topology(config, rng, num_ues=active).beta
+        pilots = select_pilots(active, config.num_pilots, rng)
+        alpha_lt = true_alpha_lt(beta, pilots, config)
         avg = pilot_activity(np.broadcast_to(alpha_lt, (training.repetitions,) + alpha_lt.shape),
                              config.antennas_per_ap, config.noise_mw, rng).mean(axis=0)  # (T, L)
         counts = []

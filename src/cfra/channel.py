@@ -1,4 +1,4 @@
-"""Random channels, pilot choice, activations and the uplink activity matrix.
+"""Random channels, pilot choice and the uplink activity matrix.
 
 Pilots are never materialized: their orthonormality is applied analytically,
 so each AP's matched-filter output on pilot t is y_lt = sqrt(p tau_p) times
@@ -54,16 +54,6 @@ def select_pilots(num_ues: int, num_pilots: int, rng: np.random.Generator) -> np
     if num_pilots < 1:
         raise ValueError("num_pilots must be >= 1")
     return rng.integers(0, num_pilots, size=num_ues)
-
-
-def activate(idle: np.ndarray, probability: float, rng: np.random.Generator) -> np.ndarray:
-    """The idle UEs that activate, each independently with ``probability``.
-
-    Drawn as a Binomial(|idle|, p) count and then a uniform subset of that
-    size, which has the same law as one coin per UE and costs O(new UEs).
-    """
-    count = rng.binomial(idle.size, probability)
-    return idle[rng.choice(idle.size, count, replace=False, shuffle=False)]
 
 
 def pilot_activity(alpha_lt: np.ndarray, n_antennas: int, noise_mw: float,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
-from .channel import activate, pilot_activity, select_pilots
+from .channel import pilot_activity, select_pilots
 from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, greedy_flexible_decide,
                          knowledge_for, sucre_decision)
 from .scenario import ScenarioConfig, Topology, build_topology, natural_sets
@@ -38,12 +38,12 @@ def spatial_separability_admit(region, pilots, serving_mask) -> np.ndarray:
 class AttemptOutcome:
     """Everything one access attempt produced, per transmitting UE and per pilot."""
 
-    ues: np.ndarray             # (K,) transmitting UE ids
+    ues: np.ndarray             # (K,) transmitting UEs, rows of the topology
     pilots: np.ndarray          # (K,) pilot each UE chose
     served: np.ndarray          # (K,) bool; False when the UE's pilot had no serving AP
     repeat: np.ndarray          # (K,) bool repeat decision; every UE under bcf
     alpha_hat: np.ndarray       # (K,) estimated total UL power; nan where not estimated
-    admitted: np.ndarray        # ids of the UEs admitted this attempt
+    admitted: np.ndarray        # rows of the UEs admitted this attempt
     active_pilots: int
     operative_ap_count: int
     served_active_per_ap: float     # mean over operative APs of served active pilots
@@ -85,7 +85,7 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     config = topology.config
 
     active = np.asarray(active_ues, dtype=np.intp)
-    beta_act = topology.gains(active)                   # (K, L)
+    beta_act = topology.beta[active]                    # (K, L)
     pilots = select_pilots(active.size, config.num_pilots, rng)
     alpha_lt = true_alpha_lt(beta_act, pilots, config)  # (T, L)
     activity = pilot_activity(alpha_lt, config.antennas_per_ap, config.noise_mw, rng)
@@ -154,39 +154,38 @@ MAX_CAMPAIGN_BLOCKS = 500
 
 
 def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConfig,
-                        rng: np.random.Generator,
-                        topology: Topology | None = None) -> CampaignResult:
+                        rng: np.random.Generator) -> CampaignResult:
     """Simulate coherence blocks until the first-block cohort is resolved.
 
-    Failed UEs retry with the configured coin flip; fresh activations join
-    every block so contention pressure stays stationary. Only the cohort is
-    tracked for attempt statistics. A given ``topology`` must carry ``config``.
+    The population is a count. On each block Binomial(idle, p) of the idle
+    UEs activate, and only they are dropped on the square and joined to the
+    campaign's topology, whose rows are the activated UEs in activation
+    order; the cohort is the first block's rows. Failed UEs retry with the
+    configured coin flip, and fresh activations join every block so
+    contention pressure stays stationary. Only the cohort is tracked for
+    attempt statistics.
     """
-    if topology is None:
-        topology = build_topology(config, rng)
-    elif topology.config != config:
-        raise ValueError("the topology was built for a different config")
-    n_ues = topology.ue_positions.shape[0]
-
-    attempts = np.zeros(n_ues, dtype=int)
-    succeeded = np.zeros(n_ues, dtype=bool)
-    in_progress = np.zeros(n_ues, dtype=bool)   # active and neither admitted nor given up
-
-    cohort = np.sort(activate(np.arange(n_ues), config.access_probability, rng))
-    in_progress[cohort] = True
+    cohort = rng.binomial(config.num_inactive_ues, config.access_probability)
+    idle = config.num_inactive_ues - cohort
+    topology = build_topology(config, rng, num_ues=cohort)
+    attempts = np.zeros(cohort, dtype=int)
+    succeeded = np.zeros(cohort, dtype=bool)
+    in_progress = np.ones(cohort, dtype=bool)   # active and neither admitted nor given up
 
     tau_pl_sum = tau_sum = l_sum = 0.0
     q_eff_sum = 0.0
     q_eff_blocks = blocks = 0
 
     for block in range(MAX_CAMPAIGN_BLOCKS):
-        if not in_progress[cohort].any():   # an empty cohort is resolved at once
+        if not in_progress[:cohort].any():   # an empty cohort is resolved at once
             break
-        if block > 0:
-            # first-timers always transmit, so every UE activated so far has
-            # attempts > 0 and the idle UEs are those that never attempted
-            newly = activate(np.flatnonzero(attempts == 0), config.access_probability, rng)
-            in_progress[newly] = True
+        new = rng.binomial(idle, config.access_probability) if block > 0 else 0
+        if new:
+            idle -= new
+            topology = topology.joined(build_topology(config, rng, num_ues=new))
+            attempts = np.concatenate([attempts, np.zeros(new, dtype=int)])
+            succeeded = np.concatenate([succeeded, np.zeros(new, dtype=bool)])
+            in_progress = np.concatenate([in_progress, np.ones(new, dtype=bool)])
 
         candidates = np.flatnonzero(in_progress)
         first_timers = attempts[candidates] == 0
@@ -210,12 +209,12 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
             q_eff_blocks += 1
 
     return CampaignResult(
-        attempts=attempts[cohort],
-        succeeded=succeeded[cohort],
-        anaa=float(attempts[cohort].mean()) if cohort.size else float("nan"),
+        attempts=attempts[:cohort],
+        succeeded=succeeded[:cohort],
+        anaa=float(attempts[:cohort].mean()) if cohort else float("nan"),
         tau_bar_pl=tau_pl_sum / blocks if blocks else 0.0,
         tau_bar=tau_sum / blocks if blocks else 0.0,
         l_bar=l_sum / blocks if blocks else 0.0,
         q_eff_mw=q_eff_sum / q_eff_blocks if q_eff_blocks else float("nan"),
-        blocks=blocks, truncated=bool(in_progress[cohort].any()),
+        blocks=blocks, truncated=bool(in_progress[:cohort].any()),
     )

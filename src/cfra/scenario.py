@@ -136,72 +136,45 @@ def load_config(path) -> ScenarioConfig:
 
 
 class Topology:
-    """AP grid and UE drop, with channel-gain rows on demand.
+    """AP positions, UE positions and their ``[ue, ap]`` channel-gain table.
 
-    The ``[ue, ap]`` gain row of a UE is computed the first time :meth:`gains`
-    asks for it and cached for the topology's lifetime, so a campaign pays
-    only for the UEs that transmit. ``beta`` fills and returns the whole
-    table.
+    The table is computed when the topology is built and is read-only. A
+    campaign grows its topology of activated UEs with :meth:`joined`, so no
+    gain row is ever computed twice.
     """
 
     def __init__(self, ap_positions: np.ndarray, ue_positions: np.ndarray,
-                 config: ScenarioConfig):
+                 config: ScenarioConfig, beta: np.ndarray | None = None):
         self.ap_positions = ap_positions
         self.ue_positions = ue_positions
         self.config = config
-        n_ues, n_aps = ue_positions.shape[0], ap_positions.shape[0]
-        self._slot = np.full(n_ues, -1, dtype=np.intp)  # UE -> cache row, -1 if not computed
-        self._count = 0
-        self._beta = np.empty((0, n_aps))
-
-    @property
-    def computed_rows(self) -> int:
-        """Number of UEs whose gain row has been computed so far."""
-        return self._count
-
-    def gains(self, rows) -> np.ndarray:
-        """Gain rows ``beta[rows]`` (a copy), computing the missing ones."""
-        rows = np.asarray(rows, dtype=np.intp)
-        missing = self._slot[rows] < 0
-        if missing.any():
-            self._fill(np.unique(rows[missing] % self._slot.size))
-        return self._beta[self._slot[rows]]
-
-    def _fill(self, new: np.ndarray) -> None:
-        start, end = self._count, self._count + new.size
-        if end > self._beta.shape[0]:
-            capacity = min(max(end, 2 * self._beta.shape[0]), self._slot.size)
-            self._beta = _grown(self._beta, capacity, start)
-        self._beta[start:end] = pathloss_beta(
-            _distances(self.ue_positions[new], self.ap_positions), self.config)
-        self._slot[new] = np.arange(start, end)
-        self._count = end
-
-    @property
-    def beta(self) -> np.ndarray:
-        """The full ``[ue, ap]`` channel-gain table."""
-        return self.gains(np.arange(self._slot.size))
+        if beta is None:
+            beta = pathloss_beta(_distances(ue_positions, ap_positions), config)
+        beta.flags.writeable = False
+        self.beta = beta
 
     @cached_property
     def bs_view(self) -> Topology:
-        """The single-BS view of the same UEs (:func:`bs_topology`), built once.
-
-        Its row indices are the UE ids, and its gain rows are computed on
-        first use like this topology's own.
-        """
+        """The single-BS view of the same UEs (:func:`bs_topology`), built once."""
         return bs_topology(self.config, self.ue_positions)
+
+    def joined(self, other: Topology) -> Topology:
+        """This topology's UEs followed by ``other``'s, on the same APs and config.
+
+        The gain rows are copied, not recomputed; so is the single-BS view
+        when this topology has built it.
+        """
+        out = Topology(self.ap_positions, np.concatenate([self.ue_positions, other.ue_positions]),
+                       self.config, np.concatenate([self.beta, other.beta]))
+        if "bs_view" in self.__dict__:
+            out.bs_view = self.bs_view.joined(other.bs_view)
+        return out
 
 
 def _distances(ue_positions: np.ndarray, ap_positions: np.ndarray) -> np.ndarray:
     dx = ue_positions[:, None, 0] - ap_positions[None, :, 0]
     dy = ue_positions[:, None, 1] - ap_positions[None, :, 1]
     return np.sqrt(dx * dx + dy * dy)
-
-
-def _grown(table: np.ndarray, capacity: int, used: int) -> np.ndarray:
-    out = np.empty((capacity, table.shape[1]))
-    out[:used] = table[:used]
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -229,17 +202,8 @@ def pathloss_beta(distances: np.ndarray, config: ScenarioConfig) -> np.ndarray:
 
 
 def build_topology(config: ScenarioConfig, rng: np.random.Generator,
-                   num_ues: int | None = None) -> Topology:
-    """Place the AP grid and drop UEs i.i.d. uniform on the square.
-
-    Every UE position is drawn here, so the random stream does not depend
-    on which gain rows are used later; the rows themselves are computed
-    lazily by :meth:`Topology.gains`.
-    """
-    if num_ues is None:
-        num_ues = config.num_inactive_ues
-    if num_ues < 1:
-        raise ValueError("need at least one UE")
+                   num_ues: int) -> Topology:
+    """Place the AP grid and drop ``num_ues`` UEs i.i.d. uniform on the square."""
     ue_positions = rng.uniform(0.0, config.square_length_m, size=(num_ues, 2))
     return Topology(ap_grid(config.num_aps, config.square_length_m), ue_positions, config)
 

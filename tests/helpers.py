@@ -1,5 +1,7 @@
 """Helpers that only the tests read: a dB conversion, the lens area of two
-disks and the reader of the sweep tables ``cfra.metrics`` writes."""
+disks, the reader of the sweep tables ``cfra.metrics`` writes, the large-N
+downlink observation, and the reference access campaign over a |U|-long
+population."""
 
 import csv
 import math
@@ -7,8 +9,10 @@ from dataclasses import fields
 
 import numpy as np
 
+from cfra.access import true_alpha_lt
+from cfra.contention import MAX_CAMPAIGN_BLOCKS, run_attempt
 from cfra.metrics import CSV_COLUMNS, MetricsReport
-from cfra.scenario import parse_field
+from cfra.scenario import ScenarioConfig, build_topology, parse_field
 
 
 def linear_to_db(value):
@@ -33,3 +37,62 @@ def read_reports(path) -> list[MetricsReport]:
             raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
         return [MetricsReport(**{f.name: parse_field(f, row[f.name])
                                  for f in fields(MetricsReport)}) for row in reader]
+
+
+def large_n_observation(beta_active: np.ndarray, pilots: np.ndarray,
+                        serving_mask: np.ndarray, config: ScenarioConfig,
+                        cpu_alpha_hat: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic large-N value of Re(z_k)/sqrt(N) for every UE, shape (..., K).
+
+    Standard precoding (``cpu_alpha_hat`` is None) weighs each serving AP by
+    1/sqrt(alpha_lt + sigma^2); normalized precoding divides the summed
+    gains by sqrt(alpha_hat_t). UEs on an unserved pilot, or on a pilot with
+    alpha_hat_t = 0, get 0.
+    """
+    amplitude = np.sqrt(config.dl_power_per_ap_mw * config.ul_power_mw) * config.num_pilots
+    cte = amplitude * beta_active                                           # (K, L)
+    if cpu_alpha_hat is None:
+        alpha_lt = true_alpha_lt(beta_active, pilots, config)
+        per_ap = cte / np.sqrt(alpha_lt + config.noise_mw)[pilots]
+        return np.where(serving_mask[..., pilots, :], per_ap, 0.0).sum(axis=-1)
+    summed = np.where(serving_mask[..., pilots, :], cte, 0.0).sum(axis=-1)
+    alpha_k = cpu_alpha_hat[..., pilots]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(alpha_k > 0, summed / np.sqrt(alpha_k), 0.0)
+
+
+def reference_campaign(protocol: str, spec, config, rng: np.random.Generator) -> tuple[float, int]:
+    """One access campaign over a |U|-long population: (cohort ANAA, blocks).
+
+    The law reference for :func:`cfra.contention.run_access_campaign`. Every
+    UE's position is drawn up front, every idle UE flips its own activation
+    coin on every block, and the same retry, give-up and block-cap rules run
+    on :func:`cfra.contention.run_attempt`. The ANAA is nan for an empty
+    cohort.
+    """
+    n, p = config.num_inactive_ues, config.access_probability
+    topology = build_topology(config, rng, num_ues=n)
+    attempts = np.zeros(n, dtype=int)
+    in_progress = rng.random(n) < p
+    activated = in_progress.copy()
+    cohort = np.flatnonzero(in_progress)
+    blocks = 0
+    for block in range(MAX_CAMPAIGN_BLOCKS):
+        if not in_progress[cohort].any():
+            break
+        if block > 0:
+            idle = np.flatnonzero(~activated)
+            newly = idle[rng.random(idle.size) < p]
+            activated[newly] = in_progress[newly] = True
+        candidates = np.flatnonzero(in_progress)
+        go = candidates[(attempts[candidates] == 0)
+                        | (rng.random(candidates.size) < config.reattempt_probability)]
+        if go.size == 0:
+            continue
+        out = run_attempt(protocol, spec, topology, go, rng)
+        attempts[go] += 1
+        in_progress[out.admitted] = False
+        in_progress[go[attempts[go] >= config.max_attempts]] = False
+        blocks += 1
+    anaa = float(attempts[cohort].mean()) if cohort.size else float("nan")
+    return anaa, blocks

@@ -13,8 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from cfra.analysis import distance_cdf, distance_pdf, separability_prediction
-from cfra.access import (build_serving_sets, downlink_observation, large_n_observation,
-                         true_alpha_lt)
+from cfra.access import build_serving_sets, downlink_observation, true_alpha_lt
 from cfra.bench import run_estimator_bench
 from cfra.calibration import calibrate_delta
 from cfra.channel import pilot_activity
@@ -23,7 +22,7 @@ from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate,
                              estimate_2_per_ap, estimate_cellular, knowledge_for)
 from cfra.metrics import CSV_COLUMNS, MetricsReport, tcp, write_reports
 from cfra.scenario import ScenarioConfig, build_topology, limit_distance, pathloss_beta
-from helpers import linear_to_db, read_reports
+from helpers import large_n_observation, linear_to_db, read_reports
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
@@ -151,11 +150,18 @@ def _mean_anaa(protocol, spec, num_ues, trials, seed):
     return float(np.mean(vals))
 
 
+# Campaigns per |U|. At |U| = 1000 the bcf and cf-sucre means differ by about
+# 0.0016 (1.0011 and 1.0028 over 30,000 campaigns each), and the difference of
+# two campaigns spreads by 0.049 with about 63 % of cohorts non-empty; 500
+# campaigns order the two means correctly with probability ~0.7 only, 6,000
+# with ~0.98.
+CRITERION_9_TRIALS = {1000: 6000, 5000: 500, 10000: 500}
+
+
 def test_criterion_09_protocol_ordering():
-    trials = 500
     rows, ok = [], True
     bcf_5k = None
-    for num in (1000, 5000, 10000):
+    for num, trials in CRITERION_9_TRIALS.items():
         b = _mean_anaa("bcf", EstimatorSpec(), num, trials, 900 + num)
         c = _mean_anaa("cf-sucre",
                        EstimatorSpec(kind="est2", nearby_method="greedy"),
@@ -179,13 +185,14 @@ def test_criterion_10_analysis_vs_simulation():
         rng = np.random.default_rng(100 + num)
         admitted = active = 0
         for _ in range(300):
-            topo = build_topology(cfg, rng)
-            act = np.flatnonzero(rng.random(num) < cfg.access_probability)
-            if act.size == 0:
+            # the transmitters of one block: a Binomial(|U|, p) drop
+            count = rng.binomial(num, cfg.access_probability)
+            if count == 0:
                 continue
-            out = run_attempt("bcf", EstimatorSpec(), topo, act, rng)
+            out = run_attempt("bcf", EstimatorSpec(), build_topology(cfg, rng, num_ues=count),
+                              np.arange(count), rng)
             admitted += len(out.admitted)
-            active += act.size
+            active += count
         frac = admitted / active
         psi = separability_prediction(cfg).psi
         ok &= abs(frac - psi) <= 0.1

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cfra.access import (build_serving_sets, downlink_observation, large_n_observation,
-                         precoder_weights, true_alpha_lt)
+from cfra.access import (build_serving_sets, downlink_observation, precoder_weights,
+                         true_alpha_lt)
 from cfra.channel import pilot_activity
 from cfra.estimators import cpu_alpha_hat
 from cfra.scenario import ScenarioConfig, build_topology
+from helpers import large_n_observation
 
 
 def _uplink(cfg, rng, num_ues=6, pilots=None):

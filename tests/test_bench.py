@@ -135,8 +135,9 @@ SINGLE_SETUP_BENCH = {
 # l_max -> (delta, q_avg); 200 draws, seed 12
 PINNED_DELTA = {64: (7.979043322669579, 0.049084952546141376),
                 8: (2.8986377692927334, 0.37193078619956166)}
-# 5 rounds x 20 repetitions at |U| = 2000, p = 0.01, seed 13
-PINNED_LMAX = (4, [3.0, 4.2, 3.6, 4.4, 4.4])
+# 5 rounds x 20 repetitions at |U| = 2000, p = 0.01, seed 13; each round's
+# active set a Binomial(|U|, p) count dropped on the square
+PINNED_LMAX = (5, [3.6, 5.4, 5.0, 4.5, 3.2])
 
 
 @pytest.mark.parametrize("kind, size", sorted(PINNED_BENCH))

@@ -93,7 +93,7 @@ def test_sweep_writes_manifest(tmp_path, small_cfg):
 
 def test_train_lmax(tmp_path, small_cfg):
     code = main(["train-lmax", "--config", str(small_cfg), "--out", str(tmp_path),
-                 "--rounds", "5", "--repetitions", "5", "--seed", "0"])
+                 "--rounds", "50", "--repetitions", "5", "--seed", "0"])
     assert code == 0
     rows = _read_csv(tmp_path / "train-lmax.csv")
     assert rows[-1]["round"] == "result"

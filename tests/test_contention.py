@@ -1,14 +1,17 @@
 """Decision rule, admission set algebra and campaign bookkeeping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
-from cfra import contention
-from cfra.channel import activate
+from cfra import contention, scenario
 from cfra.contention import (AttemptOutcome, protocol_spec, run_access_campaign,
                              run_attempt, spatial_separability_admit)
 from cfra.estimators import EstimatorSpec, knowledge_for, sucre_decision
-from cfra.scenario import ScenarioConfig, Topology, build_topology, natural_sets
+from cfra.scenario import ScenarioConfig, build_topology, natural_sets
+from helpers import reference_campaign
 
 
 def test_sucre_decision():
@@ -214,33 +217,44 @@ def test_decision_batch_is_ranked_and_zero_padded(monkeypatch, kind):
                       topo, range(300), rng)
     assert len(batches) == 1
     block, deciders = batches[0], out.ues[out.served]
-    members = natural_sets(topo.gains(deciders), cfg)
+    members = natural_sets(topo.beta[deciders], cfg)
     sizes = members.sum(axis=1)
     assert block.shape == (deciders.size, sizes.max()) and (sizes < sizes.max()).any()
     assert (np.diff(block, axis=1) <= 0.0).all()
     for row, ue, mask, n in zip(block, deciders, members, sizes):
-        assert np.array_equal(row[:n], np.sort(topo.gains([ue])[0, mask])[::-1])
+        assert np.array_equal(row[:n], np.sort(topo.beta[ue, mask])[::-1])
         assert not row[n:].any()
     assert np.isfinite(out.alpha_hat[out.served]).all()
     assert np.isnan(out.alpha_hat[~out.served]).all()
 
 
-def test_activations_follow_one_coin_per_ue():
-    """A binomial count and a uniform subset: every idle UE activates with
-    probability p, and the count has the binomial mean and variance."""
-    rng = np.random.default_rng(14)
-    idle = np.arange(3, 43)
-    p = 0.2
-    hits = np.zeros(idle.size)
-    counts = []
-    for _ in range(20_000):
-        new = activate(idle, p, rng)
-        assert np.unique(new).size == new.size and np.isin(new, idle).all()
-        hits[new - 3] += 1
-        counts.append(new.size)
-    assert np.abs(hits / 20_000 - p).max() < 0.015          # 5 standard errors
-    assert np.mean(counts) == pytest.approx(idle.size * p, rel=0.01)
-    assert np.var(counts) == pytest.approx(idle.size * p * (1 - p), rel=0.05)
+LAW_CAMPAIGNS = 150
+LAW_SPECS = [("bcf", EstimatorSpec()), ("cf-sucre", EstimatorSpec(kind="est3")),
+             ("ce-sucre", EstimatorSpec(kind="cellular"))]
+# two statistics per spec, each family at level 0.01: 0.01 / 6 = 1.7e-3
+LAW_BOUND = 0.01 / (2 * len(LAW_SPECS))
+
+
+@pytest.mark.parametrize("protocol, spec", LAW_SPECS, ids=["bcf", "cf-sucre-est3", "ce-sucre"])
+def test_campaign_has_the_law_of_the_population_reference(protocol, spec):
+    """Drawing each UE when it activates keeps a campaign's law.
+
+    Per-campaign ANAA (empty cohorts left out) and block counts of the
+    campaign, whose population is a count, against the reference that draws
+    all |U| positions up front and flips one activation coin per idle UE
+    (``helpers.reference_campaign``): two-sample KS at fixed seeds, each
+    p-value above the Bonferroni bound ``LAW_BOUND``.
+    """
+    cfg = ScenarioConfig(num_inactive_ues=1000, access_probability=0.01)
+    rng = np.random.default_rng(41)
+    runs = [run_access_campaign(protocol, spec, cfg, rng) for _ in range(LAW_CAMPAIGNS)]
+    rng = np.random.default_rng(42)
+    ref_anaa, ref_blocks = zip(*(reference_campaign(protocol, spec, cfg, rng)
+                                 for _ in range(LAW_CAMPAIGNS)))
+    anaa = np.array([r.anaa for r in runs])
+    ref_anaa = np.array(ref_anaa)
+    assert ks_2samp(anaa[np.isfinite(anaa)], ref_anaa[np.isfinite(ref_anaa)]).pvalue > LAW_BOUND
+    assert ks_2samp([r.blocks for r in runs], ref_blocks).pvalue > LAW_BOUND
 
 
 def test_campaign_attempt_bound_and_flags():
@@ -270,29 +284,6 @@ def test_campaign_empty_cohort_is_nan():
     assert np.isnan(res.anaa)
 
 
-@pytest.mark.parametrize("built, run", [
-    (ScenarioConfig(), ScenarioConfig(num_aps=16, l_max=10)),
-    (ScenarioConfig(num_inactive_ues=2000), ScenarioConfig(num_inactive_ues=500)),
-])
-def test_campaign_rejects_topology_of_another_config(built, run):
-    """A campaign reads its topology's config: a topology built for another
-    one (more APs, more UEs) is refused, not silently mixed."""
-    topo = build_topology(built, np.random.default_rng(3))
-    with pytest.raises(ValueError, match="config"):
-        run_access_campaign("bcf", EstimatorSpec(), run, np.random.default_rng(4),
-                            topology=topo)
-
-
-def test_campaign_on_given_topology_matches_its_own_drop():
-    cfg = ScenarioConfig(num_inactive_ues=300, access_probability=0.05)
-    rng = np.random.default_rng(6)
-    given = run_access_campaign("bcf", EstimatorSpec(), cfg, rng,
-                                topology=build_topology(cfg, rng))
-    own = run_access_campaign("bcf", EstimatorSpec(), cfg, np.random.default_rng(6))
-    assert given.attempts.size > 0
-    assert np.array_equal(given.attempts, own.attempts) and given.l_bar == own.l_bar
-
-
 def test_campaign_counts_blocks_and_truncation(monkeypatch):
     """``blocks`` counts the blocks that carried an attempt; a campaign cut at
     the block cap with cohort UEs pending is ``truncated``."""
@@ -313,72 +304,87 @@ def test_campaign_counts_blocks_and_truncation(monkeypatch):
     assert (~res.succeeded & (res.attempts < cfg.max_attempts)).any()
 
 
+def _record(monkeypatch, module, name, pick):
+    """Wrap ``module.name`` so that each call appends ``pick(args, result)``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append(pick(args, result))
+        return result
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 def test_campaign_computes_gains_only_for_transmitters(monkeypatch):
+    """A campaign drops, and computes gain rows for, only the UEs that
+    activate; each transmits on its first block, and the topology it runs on
+    holds exactly those UEs, each row computed once."""
     cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
-    rng = np.random.default_rng(9)
-    topo = build_topology(cfg, rng)
-    transmitted: set = set()
-    filled: list = []
-    fill = Topology._fill
-
-    def spy(protocol, spec, topology, active_ues, rng):
-        transmitted.update(int(k) for k in active_ues)
-        return run_attempt(protocol, spec, topology, active_ues, rng)
-
-    def fill_spy(self, new):
-        filled.extend(new.tolist())
-        fill(self, new)
-
-    monkeypatch.setattr(contention, "run_attempt", spy)
-    monkeypatch.setattr(Topology, "_fill", fill_spy)
+    attempts = _record(monkeypatch, contention, "run_attempt", lambda a, _: (a[2], a[3]))
+    built = _record(monkeypatch, contention, "build_topology", lambda _, t: t.ue_positions)
     run_access_campaign("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"),
-                        cfg, rng, topology=topo)
-    assert transmitted and len(transmitted) < cfg.num_inactive_ues
-    assert sorted(filled) == sorted(transmitted)
-    assert topo.computed_rows == len(transmitted)
+                        cfg, np.random.default_rng(9))
+    positions = np.concatenate(built)
+    transmitted = np.unique(np.concatenate([active for _, active in attempts]))
+    assert len(built) > 1 and 0 < positions.shape[0] < cfg.num_inactive_ues
+    assert transmitted.tolist() == list(range(positions.shape[0]))
+    final = attempts[-1][0]
+    assert np.array_equal(final.ue_positions, positions)
+    assert final.beta.shape == (positions.shape[0], cfg.num_aps)
 
 
 def test_ce_sucre_gains_only_for_active_ues(monkeypatch):
-    cfg = ScenarioConfig()
-    rng = np.random.default_rng(10)
-    topo = build_topology(cfg, rng, num_ues=50)
-    computed = []
-    fill = Topology._fill
+    """ce-sucre's single-BS view is built for each block's arrivals only:
+    its rows are the activated UEs, in the campaign topology's order."""
+    cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
+    topologies = _record(monkeypatch, contention, "run_attempt", lambda a, _: a[2])
+    bs_built = _record(monkeypatch, scenario, "bs_topology", lambda a, _: a[1])
+    run_access_campaign("ce-sucre", EstimatorSpec(kind="cellular"), cfg,
+                        np.random.default_rng(10))
+    final = topologies[-1]
+    assert len(bs_built) > 1
+    assert np.array_equal(np.concatenate(bs_built), final.ue_positions)
+    assert final.bs_view.beta.shape == (final.ue_positions.shape[0], 1)
 
-    def spy(self, new):
-        computed.append(self.ue_positions[new])
-        fill(self, new)
 
-    monkeypatch.setattr(Topology, "_fill", spy)
-    active = [31, 4, 17]
-    run_attempt("ce-sucre", EstimatorSpec(kind="cellular"), topo, active, rng)
-    assert topo.computed_rows == 0
-    rows = np.concatenate(computed)
-    assert len(rows) == len(active)
-    assert {tuple(r) for r in rows} == {tuple(topo.ue_positions[k]) for k in active}
+def test_campaign_memory_follows_the_activated_ues_not_the_population():
+    """At |U| = 10^7 and |U| p = 10 arrivals per block, a campaign allocates
+    for the UEs that activate only: no |U|-long position, slot or state array."""
+    cfg = ScenarioConfig(num_inactive_ues=10**7, access_probability=1e-6)
+    for protocol, spec in LAW_SPECS:
+        tracemalloc.start()
+        try:
+            res = run_access_campaign(protocol, spec, cfg, np.random.default_rng(17))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.attempts.size and peak < 2e6, (protocol, peak)
 
 
 # attempts and ANAA of one small campaign per configuration (seed 7), recorded
-# with the activity matrix drawn from its Gamma law and binomial activations
+# with the activity matrix drawn from its Gamma law and each block's arrivals
+# drawn as a Binomial(idle, p) count dropped on the square
 PINNED_CAMPAIGNS = [
-    ("bcf", EstimatorSpec(), 1.0416666666666667,
-     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
-    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"), 1.2083333333333333,
-     [1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 4, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1]),
-    ("cf-sucre", EstimatorSpec(kind="est3"), 1.25,
-     [1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 3, 1, 1, 1, 1, 1, 1, 3, 1, 2, 1, 1, 1, 1]),
-    ("ce-sucre", EstimatorSpec(kind="cellular"), 8.125,
-     [1, 1, 10, 10, 1, 10, 10, 10, 1, 10, 10, 10, 10, 10, 1, 10, 10, 10, 10, 10,
-      10, 10, 10, 10]),
+    ("bcf", EstimatorSpec(), 1.0476190476190477,
+     [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1]),
+    ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy"), 1.3333333333333333,
+     [1, 2, 1, 1, 2, 2, 1, 1, 2, 1, 1, 1, 2, 1, 2, 1, 1, 1, 1, 1, 2]),
+    ("cf-sucre", EstimatorSpec(kind="est3"), 1.6666666666666667,
+     [4, 2, 3, 1, 2, 2, 1, 1, 3, 1, 1, 1, 3, 1, 2, 1, 1, 1, 1, 1, 2]),
+    ("ce-sucre", EstimatorSpec(kind="cellular"), 7.9523809523809526,
+     [10, 10, 10, 10, 2, 10, 1, 10, 10, 10, 10, 10, 2, 10, 1, 10, 10, 10, 10, 1, 10]),
 ]
 # the same campaigns' tau_bar_pl, tau_bar, l_bar and q_eff_mw; under ce-sucre
 # the BS serving mask must give one operative AP serving every active pilot
 PINNED_MEANS = {
-    ("bcf", EstimatorSpec()): [4.99375, 5.0, 64.0, float("nan")],
+    ("bcf", EstimatorSpec()): [4.984375, 5.0, 64.0, float("nan")],
     ("cf-sucre", EstimatorSpec(kind="est2", nearby_method="greedy")):
-        [1.3826572652792164, 5.0, 36.4, 3.125],
+        [1.4303622507956872, 5.0, 35.166666666666664, 3.125],
     ("cf-sucre", EstimatorSpec(kind="est3")):
-        [1.35926947201457, 5.0, 36.888888888888886, 0.2975204242540861],
+        [1.4489025288657642, 5.0, 34.625, 0.2958086722354065],
     ("ce-sucre", EstimatorSpec(kind="cellular")): [5.0, 5.0, 1.0, 200.0],
 }
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cfra import bench, calibration, contention
+from cfra import bench, calibration, contention, scenario
 from cfra.calibration import TrainingConfig
 from cfra.estimators import best_pair
 from cfra.scenario import ScenarioConfig
@@ -84,3 +84,31 @@ def test_offline_ops_reach_every_traced_function(perfbench):
                       if n == "access.build_serving_sets"
                       and names[parent] == "calibration.calibrate_delta"]
     assert len(in_calibration) == 10
+
+
+def test_traced_gain_rows_equal_the_rows_computed(perfbench, monkeypatch):
+    """The traced ``scenario.gain_rows`` counts the gain rows the untraced
+    program computes: per campaign spec, the tracer's counter equals the
+    rows ``scenario.pathloss_beta`` returns in an untraced run of the same
+    seed."""
+    tracing, workloads = perfbench
+    config = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
+    pathloss_beta = scenario.pathloss_beta
+    for seed, (label, protocol, spec) in enumerate(workloads.CAMPAIGN_SPECS):
+        rows = []
+
+        def spy(distances, config):
+            rows.append(distances.shape[0])
+            return pathloss_beta(distances, config)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(scenario, "pathloss_beta", spy)
+            contention.run_access_campaign(protocol, spec, config, np.random.default_rng(seed))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            contention.run_access_campaign(protocol, spec, config, np.random.default_rng(seed))
+        finally:
+            tracer.uninstall()
+        assert not tracer.hook_errors
+        assert tracer.counters["gain_rows"] == sum(rows) > 0, label

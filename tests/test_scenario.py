@@ -207,38 +207,41 @@ def _eager_tables(topo, cfg):
 
 
 def test_gains_bit_equal_to_eager_table():
+    """The table is computed at build time, and a joined topology copies
+    both tables' rows: bits equal to the table of the joined positions."""
     cfg = ScenarioConfig()
-    topo = build_topology(cfg, np.random.default_rng(11), num_ues=40)
-    _, beta_ref = _eager_tables(topo, cfg)
-    assert topo.computed_rows == 0
-    rows = np.array([17, 3, 3, 39, 0, 17])          # unsorted, duplicated
-    assert np.array_equal(topo.gains(rows), beta_ref[rows])
-    assert topo.computed_rows == 4
-    assert topo.gains(5).shape == (cfg.num_aps,)
-    assert np.array_equal(topo.gains(5), beta_ref[5])
-    assert np.array_equal(topo.gains(-1), beta_ref[39])
-    assert topo.computed_rows == 5
-    # full table after a partial fill
-    assert np.array_equal(topo.beta, beta_ref)
-    assert topo.computed_rows == 40
+    rng = np.random.default_rng(11)
+    a, b = build_topology(cfg, rng, num_ues=40), build_topology(cfg, rng, num_ues=7)
+    assert np.array_equal(a.beta, _eager_tables(a, cfg)[1])
+    joined = a.joined(b)
+    assert np.array_equal(joined.ue_positions, np.concatenate([a.ue_positions, b.ue_positions]))
+    ref = Topology(joined.ap_positions, joined.ue_positions, cfg)
+    assert joined.beta.tobytes() == ref.beta.tobytes()
+    assert joined.config is cfg and joined.ap_positions is a.ap_positions
 
 
-def test_gains_returns_copies():
+def test_beta_is_read_only():
     cfg = ScenarioConfig()
-    topo = build_topology(cfg, np.random.default_rng(12), num_ues=5)
+    rng = np.random.default_rng(12)
+    topo = build_topology(cfg, rng, num_ues=5)
     _, beta_ref = _eager_tables(topo, cfg)
-    topo.gains([1, 2])[:] = 0.0
-    topo.beta[:] = 0.0
+    topo.beta[[1, 2]][:] = 0.0          # a fancy-indexed read is a copy
+    for table in (topo.beta, topo.joined(build_topology(cfg, rng, num_ues=2)).beta,
+                  topo.bs_view.beta):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
     assert np.array_equal(topo.beta, beta_ref)
 
 
 def test_build_topology_draws_positions_only():
+    """The drop draws the UE positions and nothing else from the generator."""
     cfg = ScenarioConfig()
     a = build_topology(cfg, np.random.default_rng(13), num_ues=30)
     rng = np.random.default_rng(13)
     expected = rng.uniform(0.0, cfg.square_length_m, size=(30, 2))
     assert np.array_equal(a.ue_positions, expected)
-    assert a.computed_rows == 0
+    assert build_topology(cfg, rng, num_ues=0).beta.shape == (0, cfg.num_aps)
+    assert rng.random() == np.random.default_rng(13).uniform(size=61)[-1]
 
 
 def test_bs_topology_center():
@@ -285,7 +288,7 @@ def test_natural_sets_deaf_tie_keeps_lower_index():
 def test_natural_sets_match_single_calls():
     cfg = ScenarioConfig()
     topo = build_topology(cfg, np.random.default_rng(4), num_ues=6)
-    beta = topo.gains(range(6))
+    beta = topo.beta
     members = natural_sets(beta, cfg)
     for ue in range(6):
         assert np.array_equal(members[ue], natural_sets(beta[ue:ue + 1], cfg)[0])
@@ -297,7 +300,7 @@ def test_natural_sets_match_single_calls():
 def test_natural_sets_follow_config():
     cfg = ScenarioConfig()
     quiet = ScenarioConfig(dl_power_per_ap_mw=cfg.dl_power_per_ap_mw / 50.0)
-    beta = build_topology(cfg, np.random.default_rng(5), num_ues=8).gains(range(8))
+    beta = build_topology(cfg, np.random.default_rng(5), num_ues=8).beta
     few, many = natural_sets(beta, quiet), natural_sets(beta, cfg)
     assert (few.sum(axis=1) >= 1).all() and not (few & ~many).any()
     assert (few.sum(axis=1) < many.sum(axis=1)).any()
@@ -305,18 +308,22 @@ def test_natural_sets_follow_config():
 
 def test_bs_view_is_the_cached_single_bs_topology():
     cfg = ScenarioConfig()
-    topo = build_topology(cfg, np.random.default_rng(6), num_ues=30)
+    rng = np.random.default_rng(6)
+    topo = build_topology(cfg, rng, num_ues=30)
     view = topo.bs_view
     assert view is topo.bs_view
-    assert view.computed_rows == 0 and topo.computed_rows == 0
     ref = bs_topology(cfg, topo.ue_positions)
-    rows = np.array([29, 3, 3, 11])                 # row indices are UE ids
-    assert np.array_equal(view.gains(rows), ref.beta[rows])
-    assert view.computed_rows == 3 and topo.computed_rows == 0
-    assert natural_sets(view.gains(rows), cfg.bs_config).all()
+    assert np.array_equal(view.beta, ref.beta)      # row indices are the topology's
+    assert natural_sets(view.beta, cfg.bs_config).all()
     # the view carries the single-BS config, read by whatever runs on it
     assert view.config == cfg.bs_config
     assert view.config is cfg.bs_config and topo.config is cfg
+    # a joined topology joins a built view, and builds none otherwise
+    unviewed = build_topology(cfg, rng, num_ues=3)
+    assert "bs_view" not in unviewed.joined(topo).__dict__
+    joined = topo.joined(build_topology(cfg, rng, num_ues=4))
+    assert "bs_view" in joined.__dict__
+    assert np.array_equal(joined.bs_view.beta, bs_topology(cfg, joined.ue_positions).beta)
 
 
 @pytest.mark.parametrize("num_ues", [1, 10, 5000])
