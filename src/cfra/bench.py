@@ -19,7 +19,7 @@ import numpy as np
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
 from .channel import pilot_activity
 from .estimators import cpu_alpha_hat, estimate, knowledge_for
-from .scenario import ScenarioConfig, build_topology
+from .scenario import ScenarioConfig, bs_topology, build_topology, drop_ues
 
 # Setups per stacked pass: large enough that a small collision's pass is not
 # all call overhead, small enough that memory stays flat in the setup count.
@@ -41,10 +41,10 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
                         num_setups: int = 100, num_realizations: int = 100) -> BenchResult:
     """Median-ready NMSE/NEB samples for one estimator at one collision size.
 
-    The cellular estimator runs on the single-BS view (``Topology.bs_view``),
-    where the one serving "AP" is the BS and ``l_max`` must be 1. Every
-    constant is read from the topology it runs on, as an access attempt
-    reads it. Setups run in blocks of ``SETUP_BLOCK`` (:func:`_bench_block`);
+    The cellular estimator runs on the single-BS view (:func:`bs_topology`; no
+    64-AP table is built), where the one serving "AP" is the BS and ``l_max``
+    must be 1. Every constant is read from the topology it runs on, as an
+    access attempt reads it. Setups run in stacked blocks of ``SETUP_BLOCK``;
     a one-setup call draws exactly what one setup of a per-setup loop draws.
     """
     blocks = [_bench_block(kind, collision_size, nearby_size, l_max, config, rng,
@@ -63,8 +63,9 @@ def _bench_block(kind: str, collision_size: int, nearby_size: int, l_max: int,
     a unit realization axis, (S, 1, K, L).
     """
     pilots = np.zeros(collision_size, dtype=int)          # every UE on pilot 0
-    topo = build_topology(config, rng, num_ues=setups * collision_size)
-    topo = topo.bs_view if kind == "cellular" else topo                   # carries bs_config
+    num_ues = setups * collision_size
+    topo = (bs_topology(config, drop_ues(config, rng, num_ues)) if kind == "cellular"
+            else build_topology(config, rng, num_ues=num_ues))            # carries its config
     site = topo.config
     beta = topo.beta.reshape(setups, 1, collision_size, site.num_aps)     # (S, 1, K, L)
     beta_nearby = -np.sort(-beta, axis=-1)[..., :nearby_size]  # (S, 1, K, C), strongest first

@@ -1,9 +1,9 @@
 """Training of the serving-set cap and of the compensation factor.
 
 Both procedures are Monte-Carlo: the cap comes from thresholding averaged
-pilot-activity rows over random transmission rounds, the compensation
-factor from the measured effective downlink power of the normalized
-precoder.
+pilot-activity rows over random transmission rounds, each average drawn
+from its Gamma(N R) law, the compensation factor from the measured
+effective downlink power of the normalized precoder.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 from .access import build_serving_sets, precoder_weights, true_alpha_lt
 from .channel import pilot_activity, select_pilots
 from .estimators import cpu_alpha_hat
-from .scenario import ScenarioConfig, build_topology
+from .scenario import ScenarioConfig, build_topology, check_fields
 
 # collision sizes whose serving APs the compensation factor averages over
 COLLISION_SIZES = range(1, 11)
@@ -30,19 +30,18 @@ class TrainingConfig:
     rounds: int = 100
     repetitions: int = 100
 
-    def __post_init__(self):
-        if self.rounds < 1 or self.repetitions < 1:
-            raise ValueError("rounds and repetitions must be >= 1")
+    __post_init__ = check_fields
 
 
 def train_lmax(training: TrainingConfig, rng: np.random.Generator) -> tuple[int, list[float]]:
     """Serving-cap selection by averaged-activity thresholding.
 
     Per round: drop the active set (a Binomial(|U|, p) count of UEs, as a
-    campaign block draws its arrivals), average the activity matrix over the
-    repetitions, and count, for each truly used pilot, the APs at or above
-    the row mean. The cap is the ceiling of the grand mean. Rounds without
-    any active UE contribute nothing; all-empty training is an error.
+    campaign block draws its arrivals), draw the mean of R activity matrices
+    in one :func:`pilot_activity` draw at N R antennas (the mean of R draws
+    v Gamma(N)/N is v Gamma(N R)/(N R)), and count, for each used pilot, the
+    APs at or above the row mean. The cap is the ceiling of the grand mean.
+    Rounds without an active UE add nothing; all-empty training is an error.
     """
     config = training.scenario
     per_round: list[float] = []
@@ -53,14 +52,10 @@ def train_lmax(training: TrainingConfig, rng: np.random.Generator) -> tuple[int,
         beta = build_topology(config, rng, num_ues=active).beta
         pilots = select_pilots(active, config.num_pilots, rng)
         alpha_lt = true_alpha_lt(beta, pilots, config)
-        avg = pilot_activity(np.broadcast_to(alpha_lt, (training.repetitions,) + alpha_lt.shape),
-                             config.antennas_per_ap, config.noise_mw, rng).mean(axis=0)  # (T, L)
-        counts = []
-        for t in np.unique(pilots):
-            row = avg[t]
-            eps = row.mean()
-            counts.append(int((row >= eps).sum()))
-        per_round.append(float(np.mean(counts)))
+        avg = pilot_activity(alpha_lt, config.antennas_per_ap * training.repetitions,
+                             config.noise_mw, rng)                                   # (T, L)
+        used = avg[np.unique(pilots)]
+        per_round.append(float((used >= used.mean(axis=1, keepdims=True)).sum(axis=1).mean()))
     if not per_round:
         raise RuntimeError("training produced no active pilots in any round")
     l_max = math.ceil(float(np.mean(per_round)))

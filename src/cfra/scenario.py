@@ -24,6 +24,17 @@ def db_to_linear(value_db):
     return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0) if isinstance(value_db, np.ndarray) else 10.0 ** (value_db / 10.0)
 
 
+def check_fields(config) -> None:
+    """Reject ``int`` fields that are not integers >= 1 (a bool is not) and non-finite floats."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and not (isinstance(value, numbers.Integral)
+                                    and not isinstance(value, bool) and value >= 1):
+            raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Physical and protocol constants plus experiment controls.
@@ -52,13 +63,7 @@ class ScenarioConfig:
     l_max: int = 10
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not (isinstance(value, numbers.Integral)
-                                        and not isinstance(value, bool) and value >= 1):
-                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
-            if f.type == "float" and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        check_fields(self)
         if not self.square_length_m > 0.0:
             raise ValueError("square_length_m must be positive")
         if not self.pathloss_exponent > 0.0:
@@ -174,7 +179,9 @@ class Topology:
 def _distances(ue_positions: np.ndarray, ap_positions: np.ndarray) -> np.ndarray:
     dx = ue_positions[:, None, 0] - ap_positions[None, :, 0]
     dy = ue_positions[:, None, 1] - ap_positions[None, :, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    dx *= dx
+    dx += np.square(dy, out=dy)
+    return np.sqrt(dx, out=dx)
 
 
 @lru_cache(maxsize=None)
@@ -197,15 +204,22 @@ def ap_grid(num_aps: int, square_length_m: float) -> np.ndarray:
 
 def pathloss_beta(distances: np.ndarray, config: ScenarioConfig) -> np.ndarray:
     """Average channel gain Omega * d^(-zeta) in linear scale."""
-    d = np.maximum(distances, MIN_DISTANCE_M)
-    return config.omega_lin * d ** (-config.pathloss_exponent)
+    beta = np.maximum(distances, MIN_DISTANCE_M)      # a copy: ``distances`` is never written
+    beta **= -config.pathloss_exponent
+    beta *= config.omega_lin
+    return beta
 
 
 def build_topology(config: ScenarioConfig, rng: np.random.Generator,
                    num_ues: int) -> Topology:
-    """Place the AP grid and drop ``num_ues`` UEs i.i.d. uniform on the square."""
-    ue_positions = rng.uniform(0.0, config.square_length_m, size=(num_ues, 2))
-    return Topology(ap_grid(config.num_aps, config.square_length_m), ue_positions, config)
+    """Place the AP grid and drop ``num_ues`` UEs (:func:`drop_ues`)."""
+    return Topology(ap_grid(config.num_aps, config.square_length_m),
+                    drop_ues(config, rng, num_ues), config)
+
+
+def drop_ues(config: ScenarioConfig, rng: np.random.Generator, num_ues: int) -> np.ndarray:
+    """Positions (K, 2) of ``num_ues`` UEs dropped i.i.d. uniform on the square."""
+    return rng.uniform(0.0, config.square_length_m, size=(num_ues, 2))
 
 
 def bs_topology(config: ScenarioConfig, ue_positions: np.ndarray) -> Topology:

@@ -1,7 +1,7 @@
 """Helpers that only the tests read: a dB conversion, the lens area of two
 disks, the reader of the sweep tables ``cfra.metrics`` writes, the large-N
-downlink observation, and the reference access campaign over a |U|-long
-population."""
+downlink observation, the reference access campaign over a |U|-long
+population, and the reference average of repeated activity draws."""
 
 import csv
 import math
@@ -10,6 +10,7 @@ from dataclasses import fields
 import numpy as np
 
 from cfra.access import true_alpha_lt
+from cfra.channel import pilot_activity
 from cfra.contention import MAX_CAMPAIGN_BLOCKS, run_attempt
 from cfra.metrics import CSV_COLUMNS, MetricsReport
 from cfra.scenario import ScenarioConfig, build_topology, parse_field
@@ -96,3 +97,16 @@ def reference_campaign(protocol: str, spec, config, rng: np.random.Generator) ->
         blocks += 1
     anaa = float(attempts[cohort].mean()) if cohort.size else float("nan")
     return anaa, blocks
+
+
+def mean_of_activity_draws(alpha_lt: np.ndarray, n_antennas: int, noise_mw: float,
+                           repetitions: int, rng: np.random.Generator) -> np.ndarray:
+    """The mean (T, L) of ``repetitions`` independent activity matrices.
+
+    The law reference for the averaged activity of
+    :func:`cfra.calibration.train_lmax`, which draws that mean in one pass:
+    here each repetition is drawn on its own and the draws are averaged.
+    """
+    draws = pilot_activity(np.broadcast_to(alpha_lt, (repetitions,) + alpha_lt.shape),
+                           n_antennas, noise_mw, rng)
+    return draws.mean(axis=0)

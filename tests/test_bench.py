@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from cfra import bench
+from cfra import bench, scenario
 from cfra.bench import SETUP_BLOCK, run_estimator_bench
 from cfra.calibration import TrainingConfig, calibrate_delta, train_lmax
 from cfra.estimators import ESTIMATOR_KINDS, best_pair
@@ -136,8 +136,12 @@ SINGLE_SETUP_BENCH = {
 PINNED_DELTA = {64: (7.979043322669579, 0.049084952546141376),
                 8: (2.8986377692927334, 0.37193078619956166)}
 # 5 rounds x 20 repetitions at |U| = 2000, p = 0.01, seed 13; each round's
-# active set a Binomial(|U|, p) count dropped on the square
-PINNED_LMAX = (5, [3.6, 5.4, 5.0, 4.5, 3.2])
+# active set a Binomial(|U|, p) count dropped on the square, and its average
+# over the repetitions one Gamma(N R) draw per entry
+PINNED_LMAX = (5, [3.0, 5.2, 2.8, 5.0, 4.6])
+# the same training at one repetition, where the average is the one draw: the
+# values of averaging repetitions drawn one by one, bit for bit
+PINNED_LMAX_ONE_REPETITION = (5, [3.2, 3.4, 4.4, 5.25, 5.4])
 
 
 @pytest.mark.parametrize("kind, size", sorted(PINNED_BENCH))
@@ -187,6 +191,22 @@ def test_one_call_over_many_setups_has_the_single_setup_law(kind, size):
         assert p_value > KS_TEST_ALPHA, (name, p_value)
 
 
+def test_cellular_bench_builds_no_multi_ap_table(monkeypatch):
+    """The cellular estimator reads only the single-BS view, so every gain
+    table its bench computes has one column."""
+    columns = []
+    pathloss_beta = scenario.pathloss_beta
+
+    def spy(distances, config):
+        columns.append(distances.shape[-1])
+        return pathloss_beta(distances, config)
+
+    monkeypatch.setattr(scenario, "pathloss_beta", spy)
+    run_estimator_bench("cellular", 3, 1, 1, ScenarioConfig(), np.random.default_rng(5),
+                        num_setups=45, num_realizations=4)
+    assert columns and set(columns) == {1}
+
+
 def test_setups_run_in_fixed_blocks(monkeypatch):
     """45 setups make ceil(45 / SETUP_BLOCK) stacked downlink passes, not 45."""
     blocks = []
@@ -232,3 +252,10 @@ def test_train_lmax_pinned_at_fixed_seed():
     training = TrainingConfig(ScenarioConfig(num_inactive_ues=2000, access_probability=0.01),
                               rounds=5, repetitions=20)
     assert train_lmax(training, np.random.default_rng(13)) == PINNED_LMAX
+
+
+def test_train_lmax_at_one_repetition_keeps_the_per_draw_stream():
+    """At one repetition the averaged draw is the single draw, bit for bit."""
+    training = TrainingConfig(ScenarioConfig(num_inactive_ues=2000, access_probability=0.01),
+                              rounds=5, repetitions=1)
+    assert train_lmax(training, np.random.default_rng(13)) == PINNED_LMAX_ONE_REPETITION

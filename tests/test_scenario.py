@@ -178,6 +178,29 @@ def test_distance_clamp():
     assert beta[0] == pytest.approx(cfg.omega_lin * MIN_DISTANCE_M ** (-cfg.pathloss_exponent))
 
 
+@pytest.mark.parametrize("num_ues", [1, 10, 5000])
+def test_pathloss_beta_bits_and_argument_untouched(num_ues):
+    """The gains are computed in a clamped copy: the bits of the plain
+    formula, and the distances passed in are left as they were."""
+    cfg = ScenarioConfig()
+    distances = np.random.default_rng(num_ues).uniform(0.0, 600.0, (num_ues, cfg.num_aps))
+    distances[0, :2] = 0.0, MIN_DISTANCE_M / 2.0          # both clamped
+    before = distances.copy()
+    want = cfg.omega_lin * np.maximum(distances, MIN_DISTANCE_M) ** -cfg.pathloss_exponent
+    assert pathloss_beta(distances, cfg).tobytes() == want.tobytes()
+    assert distances.tobytes() == before.tobytes()
+
+
+def test_pathloss_beta_takes_scalars():
+    cfg = ScenarioConfig()
+    for d in (50.0, 0.0, np.float64(50.0), np.array(50.0), np.array(0.0)):
+        kept = np.copy(d)
+        want = cfg.omega_lin * np.maximum(d, MIN_DISTANCE_M) ** -cfg.pathloss_exponent
+        got = pathloss_beta(d, cfg)
+        assert np.ndim(got) == 0 and got == want and np.isfinite(got)
+        assert np.array_equal(d, kept)
+
+
 def test_build_topology_shapes_and_bounds():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(0)
