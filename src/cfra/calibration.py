@@ -74,13 +74,13 @@ def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator
     if draws < 1 or draws % len(COLLISION_SIZES):
         raise ValueError(f"draws must be a positive multiple of {len(COLLISION_SIZES)}: {draws}")
     per_size = draws // len(COLLISION_SIZES)
-    p_tau = config.ul_power_mw * config.num_pilots
     q_values = []
     for size in COLLISION_SIZES:
-        topo = build_topology(config, rng, num_ues=per_size * size)
-        # every draw's UEs share one pilot: its signal power sums their gains
-        alpha = p_tau * topo.beta.reshape(per_size, size, config.num_aps).sum(axis=1)
-        activity = pilot_activity(alpha[:, None, :], config.antennas_per_ap,
+        beta = build_topology(config, rng, num_ues=per_size * size).beta
+        # every draw's UEs share pilot 0; its signal power is the only column read
+        alpha = true_alpha_lt(beta.reshape(per_size, size, config.num_aps),
+                              np.zeros(size, dtype=int), config)[:, :1]     # (D, 1, L)
+        activity = pilot_activity(alpha, config.antennas_per_ap,
                                   config.noise_mw, rng)                   # (D, 1, L)
         serving = build_serving_sets(activity, l_max, config.noise_mw)
         _, q_eff = precoder_weights(activity, serving.mask, config,

@@ -15,7 +15,8 @@ from .access import build_serving_sets, downlink_observation, true_alpha_lt
 from .channel import pilot_activity, select_pilots
 from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, greedy_flexible_decide,
                          knowledge_for, sucre_decision)
-from .scenario import ScenarioConfig, Topology, build_topology, natural_sets
+from .scenario import (ScenarioConfig, Topology, bs_topology, build_topology, drop_ues,
+                       natural_sets)
 
 PROTOCOLS = ("bcf", "cf-sucre", "ce-sucre")
 
@@ -69,17 +70,16 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
                 active_ues, rng: np.random.Generator) -> AttemptOutcome:
     """One coherence block of the chosen protocol for the given active UEs.
 
-    The scenario constants are ``topology.config``; ce-sucre runs the same
-    steps on the single-BS view (``topology.bs_view``, carrying ``bs_config``):
+    The scenario constants are ``topology.config``. ce-sucre runs the same
+    steps on a single-BS topology (:func:`bs_topology`, carrying ``bs_config``):
     its one M-antenna site lies in every UE's influence region, so
     separability admits a winner exactly when it repeats alone on its pilot.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
     if protocol == "ce-sucre":
-        if spec.kind != "cellular":
-            raise ValueError("ce-sucre requires the cellular estimator")
-        topology = topology.bs_view
+        if spec.kind != "cellular" or topology.config.num_aps != 1:
+            raise ValueError("ce-sucre runs the cellular estimator on a single-BS topology")
     elif protocol == "cf-sucre" and spec.kind == "cellular":
         raise ValueError("the cellular estimator only applies to ce-sucre")
     config = topology.config
@@ -160,14 +160,18 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
     The population is a count. On each block Binomial(idle, p) of the idle
     UEs activate, and only they are dropped on the square and joined to the
     campaign's topology, whose rows are the activated UEs in activation
-    order; the cohort is the first block's rows. Failed UEs retry with the
+    order on the protocol's one site (the BS under ce-sucre, else the AP
+    grid); the cohort is the first block's rows. Failed UEs retry with the
     configured coin flip, and fresh activations join every block so
-    contention pressure stays stationary. Only the cohort is tracked for
-    attempt statistics.
+    contention pressure stays stationary. Only the cohort is tracked.
     """
+    def drop(num_ues: int) -> Topology:
+        return (bs_topology(config, drop_ues(config, rng, num_ues)) if protocol == "ce-sucre"
+                else build_topology(config, rng, num_ues=num_ues))
+
     cohort = rng.binomial(config.num_inactive_ues, config.access_probability)
     idle = config.num_inactive_ues - cohort
-    topology = build_topology(config, rng, num_ues=cohort)
+    topology = drop(cohort)
     attempts = np.zeros(cohort, dtype=int)
     succeeded = np.zeros(cohort, dtype=bool)
     in_progress = np.ones(cohort, dtype=bool)   # active and neither admitted nor given up
@@ -182,7 +186,7 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
         new = rng.binomial(idle, config.access_probability) if block > 0 else 0
         if new:
             idle -= new
-            topology = topology.joined(build_topology(config, rng, num_ues=new))
+            topology = topology.joined(drop(new))
             attempts = np.concatenate([attempts, np.zeros(new, dtype=int)])
             succeeded = np.concatenate([succeeded, np.zeros(new, dtype=bool)])
             in_progress = np.concatenate([in_progress, np.ones(new, dtype=bool)])

@@ -21,7 +21,7 @@ MIN_DISTANCE_M = 1e-9
 
 def db_to_linear(value_db):
     """Convert dB to linear scale (dBm inputs give mW)."""
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0) if isinstance(value_db, np.ndarray) else 10.0 ** (value_db / 10.0)
+    return 10.0 ** (value_db / 10.0)
 
 
 def check_fields(config) -> None:
@@ -100,7 +100,7 @@ class ScenarioConfig:
 
     @cached_property
     def bs_config(self) -> ScenarioConfig:
-        """The single-BS view: one M-antenna site with the BS power budget."""
+        """The single-BS site's config: one M-antenna BS with the BS power budget."""
         return replace(self, antennas_per_ap=self.bs_antennas,
                        dl_power_per_ap_mw=self.bs_dl_power_mw, num_aps=1, l_max=1)
 
@@ -141,11 +141,12 @@ def load_config(path) -> ScenarioConfig:
 
 
 class Topology:
-    """AP positions, UE positions and their ``[ue, ap]`` channel-gain table.
+    """One site's AP positions, UE positions and their ``[ue, ap]`` channel-gain table.
 
-    The table is computed when the topology is built and is read-only. A
-    campaign grows its topology of activated UEs with :meth:`joined`, so no
-    gain row is ever computed twice.
+    The site is the AP grid (:func:`build_topology`) or the BS (:func:`bs_topology`),
+    and ``config`` is the one a run on it reads. The table is computed when the
+    topology is built and is read-only. A campaign grows its topology of
+    activated UEs with :meth:`joined`, so no gain row is ever computed twice.
     """
 
     def __init__(self, ap_positions: np.ndarray, ue_positions: np.ndarray,
@@ -158,22 +159,13 @@ class Topology:
         beta.flags.writeable = False
         self.beta = beta
 
-    @cached_property
-    def bs_view(self) -> Topology:
-        """The single-BS view of the same UEs (:func:`bs_topology`), built once."""
-        return bs_topology(self.config, self.ue_positions)
-
     def joined(self, other: Topology) -> Topology:
         """This topology's UEs followed by ``other``'s, on the same APs and config.
 
-        The gain rows are copied, not recomputed; so is the single-BS view
-        when this topology has built it.
+        The gain rows are copied, not recomputed.
         """
-        out = Topology(self.ap_positions, np.concatenate([self.ue_positions, other.ue_positions]),
-                       self.config, np.concatenate([self.beta, other.beta]))
-        if "bs_view" in self.__dict__:
-            out.bs_view = self.bs_view.joined(other.bs_view)
-        return out
+        return Topology(self.ap_positions, np.concatenate([self.ue_positions, other.ue_positions]),
+                        self.config, np.concatenate([self.beta, other.beta]))
 
 
 def _distances(ue_positions: np.ndarray, ap_positions: np.ndarray) -> np.ndarray:
@@ -224,8 +216,8 @@ def drop_ues(config: ScenarioConfig, rng: np.random.Generator, num_ues: int) -> 
 
 def bs_topology(config: ScenarioConfig, ue_positions: np.ndarray) -> Topology:
     """The given UEs under ``config.bs_config``: one 'AP' at the square center."""
-    center = np.array([[config.square_length_m / 2.0, config.square_length_m / 2.0]])
-    return Topology(center, np.asarray(ue_positions, dtype=float), config.bs_config)
+    return Topology(ap_grid(1, config.square_length_m), np.asarray(ue_positions, dtype=float),
+                    config.bs_config)
 
 
 def limit_distance(config: ScenarioConfig) -> float:

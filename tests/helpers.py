@@ -13,7 +13,7 @@ from cfra.access import true_alpha_lt
 from cfra.channel import pilot_activity
 from cfra.contention import MAX_CAMPAIGN_BLOCKS, run_attempt
 from cfra.metrics import CSV_COLUMNS, MetricsReport
-from cfra.scenario import ScenarioConfig, build_topology, parse_field
+from cfra.scenario import ScenarioConfig, bs_topology, build_topology, parse_field
 
 
 def linear_to_db(value):
@@ -68,11 +68,13 @@ def reference_campaign(protocol: str, spec, config, rng: np.random.Generator) ->
     The law reference for :func:`cfra.contention.run_access_campaign`. Every
     UE's position is drawn up front, every idle UE flips its own activation
     coin on every block, and the same retry, give-up and block-cap rules run
-    on :func:`cfra.contention.run_attempt`. The ANAA is nan for an empty
-    cohort.
+    on :func:`cfra.contention.run_attempt`; ce-sucre runs on the single-BS
+    topology of the same UEs. The ANAA is nan for an empty cohort.
     """
     n, p = config.num_inactive_ues, config.access_probability
     topology = build_topology(config, rng, num_ues=n)
+    if protocol == "ce-sucre":
+        topology = bs_topology(config, topology.ue_positions)
     attempts = np.zeros(n, dtype=int)
     in_progress = rng.random(n) < p
     activated = in_progress.copy()

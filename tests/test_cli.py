@@ -205,6 +205,16 @@ def test_readme_flags_table_matches_parser():
     assert table == declared
 
 
+def test_readme_package_layout_matches_modules():
+    """The README's package-layout table has one row per ``cfra`` module."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## Package layout", 1)[1].split("\n## ", 1)[0]
+    rows = set(re.findall(r"^\| `(cfra\.\w+)` \|", section, flags=re.MULTILINE))
+    modules = {f"cfra.{path.stem}" for path in Path(cfra.__file__).parent.glob("*.py")
+               if path.stem != "__init__"}
+    assert rows == modules
+
+
 def _run_cli(*argv):
     src = str(Path(cfra.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

@@ -10,7 +10,7 @@ from cfra import contention, scenario
 from cfra.contention import (AttemptOutcome, protocol_spec, run_access_campaign,
                              run_attempt, spatial_separability_admit)
 from cfra.estimators import EstimatorSpec, knowledge_for, sucre_decision
-from cfra.scenario import ScenarioConfig, build_topology, natural_sets
+from cfra.scenario import ScenarioConfig, bs_topology, build_topology, natural_sets
 from helpers import reference_campaign
 
 
@@ -119,10 +119,15 @@ def test_run_attempt_validation():
     topo = build_topology(cfg, rng, num_ues=3)
     with pytest.raises(ValueError):
         run_attempt("lte", EstimatorSpec(), topo, [0], rng)
+    bs = bs_topology(cfg, topo.ue_positions)
     with pytest.raises(ValueError):
-        run_attempt("ce-sucre", EstimatorSpec(kind="est1"), topo, [0], rng)
+        run_attempt("ce-sucre", EstimatorSpec(kind="est1"), bs, [0], rng)
     with pytest.raises(ValueError):
         run_attempt("cf-sucre", EstimatorSpec(kind="cellular"), topo, [0], rng)
+    # the cellular estimator on the AP grid would read AP 0's gain as the BS's
+    with pytest.raises(ValueError, match="single-BS"):
+        run_attempt("ce-sucre", EstimatorSpec(kind="cellular"), topo, [0], rng)
+    run_attempt("ce-sucre", EstimatorSpec(kind="cellular"), bs, [0], rng)
 
 
 def test_protocol_spec_pairs_each_protocol_with_its_estimator():
@@ -137,7 +142,8 @@ def test_protocol_spec_pairs_each_protocol_with_its_estimator():
     rng = np.random.default_rng(0)
     topo = build_topology(cfg, rng, num_ues=3)
     for protocol in contention.PROTOCOLS:
-        run_attempt(protocol, protocol_spec(protocol, "est1", "greedy"), topo, [0, 1], rng)
+        site = bs_topology(cfg, topo.ue_positions) if protocol == "ce-sucre" else topo
+        run_attempt(protocol, protocol_spec(protocol, "est1", "greedy"), site, [0, 1], rng)
 
 
 def test_run_attempt_empty_active_set():
@@ -175,7 +181,7 @@ def test_cf_sucre_lone_ue_repeats_and_wins():
 def test_ce_sucre_singleton_winner_rule():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(4)
-    topo = build_topology(cfg, rng, num_ues=12)
+    topo = bs_topology(cfg, build_topology(cfg, rng, num_ues=12).ue_positions)
     spec = EstimatorSpec(kind="cellular")
     saw_multi = False
     for _ in range(30):
@@ -337,17 +343,28 @@ def test_campaign_computes_gains_only_for_transmitters(monkeypatch):
 
 
 def test_ce_sucre_gains_only_for_active_ues(monkeypatch):
-    """ce-sucre's single-BS view is built for each block's arrivals only:
-    its rows are the activated UEs, in the campaign topology's order."""
+    """ce-sucre drops each block's arrivals straight onto the single BS: the
+    topology it runs on holds the activated UEs, in activation order."""
     cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
     topologies = _record(monkeypatch, contention, "run_attempt", lambda a, _: a[2])
-    bs_built = _record(monkeypatch, scenario, "bs_topology", lambda a, _: a[1])
+    bs_built = _record(monkeypatch, contention, "bs_topology", lambda a, _: a[1])
     run_access_campaign("ce-sucre", EstimatorSpec(kind="cellular"), cfg,
                         np.random.default_rng(10))
     final = topologies[-1]
     assert len(bs_built) > 1
     assert np.array_equal(np.concatenate(bs_built), final.ue_positions)
-    assert final.bs_view.beta.shape == (final.ue_positions.shape[0], 1)
+    assert final.beta.shape == (final.ue_positions.shape[0], 1)
+    assert final.config is cfg.bs_config
+
+
+def test_ce_sucre_campaign_builds_no_multi_ap_table(monkeypatch):
+    """A ce-sucre campaign reads only the single BS, so every gain table it
+    computes has one column."""
+    cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.01)
+    columns = _record(monkeypatch, scenario, "pathloss_beta", lambda a, _: a[0].shape[-1])
+    res = run_access_campaign("ce-sucre", EstimatorSpec(kind="cellular"), cfg,
+                              np.random.default_rng(10))
+    assert res.blocks > 1 and set(columns) == {1}
 
 
 def test_campaign_memory_follows_the_activated_ues_not_the_population():

@@ -25,7 +25,7 @@ from cfra.channel import complex_noise, draw_channels, pilot_activity
 from cfra.contention import run_attempt
 from cfra.estimators import EstimatorSpec, cpu_alpha_hat
 from cfra.kernels import accumulate_uplink, observe_downlink
-from cfra.scenario import ScenarioConfig, build_topology
+from cfra.scenario import ScenarioConfig, bs_topology, build_topology
 
 REALIZATIONS = 20_000
 CHUNK = 1_000
@@ -105,8 +105,9 @@ def _case(name):
     pilots = np.array([0, 0, 0, 1, 1, 2, 4])          # pilot 3 unused
     if name == "cell-free":
         return topo.beta, pilots, cfg, cfg.num_pilots, cfg.l_max, ("standard", "normalized")
-    if name == "single-bs":                          # the ce-sucre view, N = 64
-        return topo.bs_view.beta, pilots, cfg.bs_config, cfg.num_pilots, 1, ("standard",)
+    if name == "single-bs":                          # the ce-sucre site, N = 64
+        site = bs_topology(cfg, topo.ue_positions)
+        return site.beta, pilots, site.config, cfg.num_pilots, 1, ("standard",)
     if name == "bench":                              # one contended pilot column
         return topo.beta[:4], np.zeros(4, dtype=int), cfg, 1, 4, ("normalized",)
     raise ValueError(name)
@@ -262,7 +263,9 @@ def test_attempt_draw_budget(drawn, protocol, spec):
     cfg = ScenarioConfig()
     rng = np.random.default_rng(35)
     topo = build_topology(cfg, rng, num_ues=300)
-    phy = cfg.bs_config if protocol == "ce-sucre" else cfg
+    if protocol == "ce-sucre":
+        topo = bs_topology(cfg, topo.ue_positions)
+    phy = topo.config
     bound_ul = phy.num_aps * phy.num_pilots
     for active in (range(300), range(40), [7]):
         drawn.clear()

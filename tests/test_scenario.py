@@ -250,7 +250,7 @@ def test_beta_is_read_only():
     _, beta_ref = _eager_tables(topo, cfg)
     topo.beta[[1, 2]][:] = 0.0          # a fancy-indexed read is a copy
     for table in (topo.beta, topo.joined(build_topology(cfg, rng, num_ues=2)).beta,
-                  topo.bs_view.beta):
+                  bs_topology(cfg, topo.ue_positions).beta):
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 0.0
     assert np.array_equal(topo.beta, beta_ref)
@@ -329,24 +329,18 @@ def test_natural_sets_follow_config():
     assert (few.sum(axis=1) < many.sum(axis=1)).any()
 
 
-def test_bs_view_is_the_cached_single_bs_topology():
+def test_bs_topology_is_the_single_bs_site():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(6)
     topo = build_topology(cfg, rng, num_ues=30)
-    view = topo.bs_view
-    assert view is topo.bs_view
-    ref = bs_topology(cfg, topo.ue_positions)
-    assert np.array_equal(view.beta, ref.beta)      # row indices are the topology's
-    assert natural_sets(view.beta, cfg.bs_config).all()
-    # the view carries the single-BS config, read by whatever runs on it
-    assert view.config == cfg.bs_config
-    assert view.config is cfg.bs_config and topo.config is cfg
-    # a joined topology joins a built view, and builds none otherwise
-    unviewed = build_topology(cfg, rng, num_ues=3)
-    assert "bs_view" not in unviewed.joined(topo).__dict__
-    joined = topo.joined(build_topology(cfg, rng, num_ues=4))
-    assert "bs_view" in joined.__dict__
-    assert np.array_equal(joined.bs_view.beta, bs_topology(cfg, joined.ue_positions).beta)
+    site = bs_topology(cfg, topo.ue_positions)
+    centre = np.array([[cfg.square_length_m / 2.0, cfg.square_length_m / 2.0]])
+    ref = Topology(centre, topo.ue_positions, cfg.bs_config)
+    assert site.beta.tobytes() == ref.beta.tobytes()    # row indices are the topology's
+    assert natural_sets(site.beta, cfg.bs_config).all()
+    # the site carries the single-BS config, read by whatever runs on it
+    assert site.config == cfg.bs_config
+    assert site.config is cfg.bs_config and topo.config is cfg
 
 
 @pytest.mark.parametrize("num_ues", [1, 10, 5000])
