@@ -13,6 +13,7 @@ import numpy as np
 
 from . import kernels
 from .channel import complex_noise, correlate_uplink, draw_channels
+from .estimators import cpu_alpha_hat
 from .scenario import ScenarioConfig
 
 
@@ -44,25 +45,26 @@ def build_serving_sets(activity: np.ndarray, l_max: int, noise_mw: float) -> Ser
 
 
 def precoder_weights(activity: np.ndarray, serving_mask: np.ndarray, config: ScenarioConfig,
-                     cpu_alpha_hat: np.ndarray | None = None):
+                     normalized: bool = False):
     """Precoder scale and effective downlink power per (pilot, AP), each (..., T, L).
 
-    Standard precoding (``cpu_alpha_hat`` is None) points each serving AP's
-    unit-norm beam along its received uplink signature y_lt: the scale is
-    sqrt(q tau_p) / ||y_lt||, with ||y_lt||^2 = N A_lt read off the activity
-    matrix, and the power is q. Normalized precoding divides by
-    sqrt(N alpha_hat_t) instead, which spends q ||y_lt||^2 / (N alpha_hat_t)
+    Standard precoding points each serving AP's unit-norm beam along its
+    received uplink signature y_lt: the scale is sqrt(q tau_p) / ||y_lt||,
+    with ||y_lt||^2 = N A_lt read off the activity matrix, and the power is
+    q. Normalized precoding divides by sqrt(N alpha_hat_t) instead, where
+    alpha_hat_t is the CPU's aggregate :func:`~cfra.estimators.cpu_alpha_hat`
+    of the same activity, which spends q ||y_lt||^2 / (N alpha_hat_t)
     = q A_lt / alpha_hat_t. Non-serving entries, and pilots with
     alpha_hat_t = 0, get 0.
     """
     q, n = config.dl_power_per_ap_mw, config.antennas_per_ap
     amplitude = np.sqrt(q * config.num_pilots)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if cpu_alpha_hat is None:
+        if not normalized:
             scale = np.where(serving_mask & (activity > 0),
                              amplitude / np.sqrt(n * activity), 0.0)
             return scale, np.where(serving_mask, q, 0.0)
-        alpha_hat = cpu_alpha_hat[..., None]                  # (..., T, 1)
+        alpha_hat = cpu_alpha_hat(activity, config.noise_mw)[..., None]   # (..., T, 1)
         on = serving_mask & (alpha_hat > 0)
         scale = np.where(on, amplitude / np.sqrt(n * alpha_hat), 0.0)
         return scale, np.where(on, (q / alpha_hat) * activity, 0.0)
@@ -118,7 +120,7 @@ def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarr
     The law of h_p given y reads y only through ||y_lt||, so drawing ||y_lt||
     first and h_p given it is exact, and the direction of y is never drawn.
     Drawing only after the serving sets are chosen keeps the law exact too:
-    the serving sets, ``cpu_alpha_hat`` and the precoder weights are
+    the serving sets, the CPU's alpha_hat_t and the precoder weights are
     functions of ||y_lt||^2 alone, so conditioning on ||y_lt|| conditions on
     them, and the channels given ||y_lt|| do not depend on which slots were
     selected.
@@ -138,20 +140,20 @@ def conditional_channels(y_norm: np.ndarray, beta_at: np.ndarray, v_at: np.ndarr
 def downlink_observation(activity: np.ndarray, serving: ServingSets, beta_active: np.ndarray,
                          alpha_lt: np.ndarray, pilots: np.ndarray,
                          config: ScenarioConfig, rng: np.random.Generator,
-                         cpu_alpha_hat: np.ndarray | None = None) -> DownlinkObservation:
+                         normalized: bool = False) -> DownlinkObservation:
     """Correlated scalar z_k at every transmitting UE, shape (..., K).
 
     ``activity`` is the activity matrix A_lt = ||y_lt||^2 / N (..., T, L)
     drawn under the gains ``beta_active`` (..., K, L), whose per-(pilot, AP)
     signal power ``alpha_lt`` (..., T, L) is given by :func:`true_alpha_lt`;
     the leading axes of both broadcast against those of ``activity``, and
-    ``serving`` and ``cpu_alpha_hat`` carry them in full.
+    ``serving`` carries them in full.
     The channels are drawn here, at each pilot's serving slots only and
     conditioned on ||y_lt|| = sqrt(N A_lt) (:func:`conditional_channels`).
-    Giving ``cpu_alpha_hat`` selects normalized precoding (see
-    :func:`precoder_weights`), which the compensation-factor estimator needs.
+    ``normalized`` selects normalized precoding (see :func:`precoder_weights`),
+    which the compensation-factor estimator needs.
     """
-    scale, q_eff = precoder_weights(activity, serving.mask, config, cpu_alpha_hat)
+    scale, q_eff = precoder_weights(activity, serving.mask, config, normalized)
     # slot j of pilot t is its j-th strongest AP; slots past size[t] carry scale 0
     slots = serving.order[..., :int(serving.size[..., pilots].max(initial=0))]  # (..., T, J)
     ue_slots = slots[..., pilots, :]                                   # (..., K, J)

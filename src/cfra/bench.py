@@ -18,7 +18,7 @@ import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
 from .channel import pilot_activity
-from .estimators import cpu_alpha_hat, estimate, knowledge_for
+from .estimators import estimate, knowledge_for
 from .scenario import ScenarioConfig, bs_topology, build_topology, drop_ues
 
 # Setups per stacked pass: large enough that a small collision's pass is not
@@ -46,7 +46,15 @@ def run_estimator_bench(kind: str, collision_size: int, nearby_size: int,
     must be 1. Every constant is read from the topology it runs on, as an
     access attempt reads it. Setups run in stacked blocks of ``SETUP_BLOCK``;
     a one-setup call draws exactly what one setup of a per-setup loop draws.
+    Counts below 1, and a ``nearby_size`` beyond the site's L, raise ValueError.
     """
+    for name, value in (("num_setups", num_setups), ("num_realizations", num_realizations),
+                        ("collision_size", collision_size)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    num_aps = config.bs_config.num_aps if kind == "cellular" else config.num_aps
+    if not 1 <= nearby_size <= num_aps:
+        raise ValueError(f"nearby_size must lie in [1, {num_aps}], got {nearby_size}")
     blocks = [_bench_block(kind, collision_size, nearby_size, l_max, config, rng,
                            min(SETUP_BLOCK, num_setups - start), num_realizations)
               for start in range(0, num_setups, SETUP_BLOCK)]
@@ -76,8 +84,7 @@ def _bench_block(kind: str, collision_size: int, nearby_size: int, l_max: int,
         site.antennas_per_ap, site.noise_mw, rng)                         # (S, R, 1, L)
     serving = build_serving_sets(activity, l_max, site.noise_mw)
     obs = downlink_observation(
-        activity, serving, beta, alpha_lt, pilots, site, rng,
-        cpu_alpha_hat=cpu_alpha_hat(activity, site.noise_mw) if kind == "est3" else None)
+        activity, serving, beta, alpha_lt, pilots, site, rng, normalized=kind == "est3")
 
     est = estimate(kind, knowledge_for(beta_nearby, obs.z.real, site), site)  # (S, R, K)
     mask = serving.mask[..., 0, :]                                            # (S, R, L)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .access import build_serving_sets, precoder_weights, true_alpha_lt
 from .channel import pilot_activity, select_pilots
-from .estimators import cpu_alpha_hat
 from .scenario import ScenarioConfig, build_topology, check_fields
 
 # collision sizes whose serving APs the compensation factor averages over
@@ -83,8 +82,7 @@ def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator
         activity = pilot_activity(alpha, config.antennas_per_ap,
                                   config.noise_mw, rng)                   # (D, 1, L)
         serving = build_serving_sets(activity, l_max, config.noise_mw)
-        _, q_eff = precoder_weights(activity, serving.mask, config,
-                                    cpu_alpha_hat(activity, config.noise_mw))
+        _, q_eff = precoder_weights(activity, serving.mask, config, normalized=True)
         # serving entries draw by draw, strongest first
         ranked = np.take_along_axis(q_eff, serving.order, axis=-1)
         q_values.append(ranked[np.arange(config.num_aps) < serving.size[..., None]])

@@ -4,13 +4,15 @@ Subcommands: simulate (one access campaign), sweep (the campaign sweep
 over |U|), analyze (closed-form separability curves), train-lmax,
 calibrate-delta, estimators-bench (the estimator table). Each takes
 --config, --out and --format; --seed and --trials only where it reads them.
+Each returns its rows, and :func:`main` writes them as
+``<subcommand>.<format>`` with ``<subcommand>.manifest.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,6 @@ from .analysis import separability_prediction
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .contention import PROTOCOLS, protocol_spec, run_access_campaign
 from .estimators import CF_ESTIMATORS, ESTIMATOR_KINDS, NEARBY_METHODS
-from .metrics import write_table
 from .scenario import ScenarioConfig, load_config
 from .sweeps import SweepDescriptor, bench_point, run_sweep, write_outputs
 
@@ -38,12 +39,6 @@ def _whole(text: str) -> float:
     if not value.is_integer():
         raise argparse.ArgumentTypeError(f"{text!r} is not a whole number")
     return value
-
-
-def _load_scenario(args) -> ScenarioConfig:
-    if args.config is None:
-        return ScenarioConfig()
-    return load_config(args.config)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,8 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_simulate(args) -> int:
-    config = _load_scenario(args)
+def _cmd_simulate(args, config: ScenarioConfig) -> list[dict]:
     rng = np.random.default_rng(args.seed)
     spec = protocol_spec(args.protocol, args.estimator, args.nearby_method)
     rows = []
@@ -113,34 +107,21 @@ def _cmd_simulate(args) -> int:
             "cohort_size": int(result.attempts.size),
             "l_bar": result.l_bar, "tau_bar": result.tau_bar,
         })
-    write_table(rows, args.out / f"simulate.{args.format}", list(rows[0]))
     finite = [r["anaa"] for r in rows if np.isfinite(r["anaa"])]
     mean = float(np.mean(finite)) if finite else float("nan")
     print(f"{args.protocol}: mean ANAA {mean:.3f} over {len(finite)} non-empty campaigns")
-    return 0
+    return rows
 
 
-def _write_report_table(args, config: ScenarioConfig, reports) -> None:
-    """``<subcommand>.<format>`` and its manifest, which records the flags it read."""
-    path = args.out / f"{args.command}.{args.format}"
-    arguments = {name: value for name, value in vars(args).items()
-                 if name not in ("command", "config", "out", "format")}
-    manifest_path = write_outputs(reports, path, config, arguments)
-    print(f"wrote {path} and {manifest_path}")
-
-
-def _cmd_sweep(args) -> int:
-    config = _load_scenario(args)
+def _cmd_sweep(args, config: ScenarioConfig) -> list[dict]:
     desc = SweepDescriptor(
         values=tuple(args.values), trials=args.trials, seed=args.seed,
         protocols=tuple(args.protocols), estimators=tuple(args.estimators),
         nearby_method=args.nearby_method)
-    _write_report_table(args, config, run_sweep(desc, config))
-    return 0
+    return [asdict(report) for report in run_sweep(desc, config)]
 
 
-def _cmd_analyze(args) -> int:
-    config = _load_scenario(args)
+def _cmd_analyze(args, config: ScenarioConfig) -> list[dict]:
     rows = []
     for num in args.num_ues:
         pred = separability_prediction(replace(config, num_inactive_ues=int(num)))
@@ -151,47 +132,38 @@ def _cmd_analyze(args) -> int:
             "d_lim_m": pred.d_lim,
             "avg_collision_size": pred.avg_collision_size,
         })
-    write_table(rows, args.out / f"analyze.{args.format}", list(rows[0]))
-    for row in rows:
-        print(f"|U|={row['num_inactive_ues']}: psi={row['psi']:.4f} "
-              f"exclusive APs={row['exclusive_aps']:.3f}")
-    return 0
+        print(f"|U|={int(num)}: psi={pred.psi:.4f} exclusive APs={pred.exclusive_aps:.3f}")
+    return rows
 
 
-def _cmd_train_lmax(args) -> int:
-    config = _load_scenario(args)
+def _cmd_train_lmax(args, config: ScenarioConfig) -> list[dict]:
     rng = np.random.default_rng(args.seed)
     training = TrainingConfig(scenario=config, rounds=args.rounds,
                               repetitions=args.repetitions)
     l_max, trace = train_lmax(training, rng)
     rows = [{"round": i, "mean_serving_count": v} for i, v in enumerate(trace)]
     rows.append({"round": "result", "mean_serving_count": l_max})
-    write_table(rows, args.out / f"train-lmax.{args.format}", list(rows[0]))
     print(f"trained serving cap: {l_max} (over {len(trace)} non-empty rounds)")
-    return 0
+    return rows
 
 
-def _cmd_calibrate_delta(args) -> int:
-    config = _load_scenario(args)
+def _cmd_calibrate_delta(args, config: ScenarioConfig) -> list[dict]:
     rng = np.random.default_rng(args.seed)
     l_max = config.num_aps if args.l_max is None else args.l_max
     delta, q_avg = calibrate_delta(config, l_max, rng, draws=args.draws)
-    rows = [{"delta": delta, "q_avg_mw": q_avg, "l_max": l_max, "draws": args.draws}]
-    write_table(rows, args.out / f"calibrate-delta.{args.format}", list(rows[0]))
     print(f"delta = {delta:.3f} (average effective DL power {q_avg:.4f} mW)")
-    return 0
+    return [{"delta": delta, "q_avg_mw": q_avg, "l_max": l_max, "draws": args.draws}]
 
 
-def _cmd_estimators_bench(args) -> int:
-    config = _load_scenario(args)
+def _cmd_estimators_bench(args, config: ScenarioConfig) -> list[dict]:
     rng = np.random.default_rng(args.seed)
-    reports = []
+    rows = []
     for size in args.collision_sizes:
         for kind in args.estimators:
-            reports.append(bench_point(size, kind, config, rng, args.trials, args.seed))
-            print(f"|S_t|={size} {kind}: NMSE median {reports[-1].nmse_median:.4g}")
-    _write_report_table(args, config, reports)
-    return 0
+            report = bench_point(size, kind, config, rng, args.trials, args.seed)
+            print(f"|S_t|={size} {kind}: NMSE median {report.nmse_median:.4g}")
+            rows.append(asdict(report))
+    return rows
 
 
 _COMMANDS = {
@@ -205,13 +177,21 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its rows and manifest (the flags it read) to ``--out``."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        config = ScenarioConfig() if args.config is None else load_config(args.config)
+        rows = _COMMANDS[args.command](args, config)
+        path = args.out / f"{args.command}.{args.format}"
+        arguments = {name: value for name, value in vars(args).items()
+                     if name not in ("command", "config", "out", "format")}
+        manifest_path = write_outputs(rows, path, config, arguments)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    print(f"wrote {path} and {manifest_path}")
+    return 0
 
 
 if __name__ == "__main__":

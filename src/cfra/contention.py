@@ -13,8 +13,8 @@ import numpy as np
 
 from .access import build_serving_sets, downlink_observation, true_alpha_lt
 from .channel import pilot_activity, select_pilots
-from .estimators import (EstimatorSpec, cpu_alpha_hat, estimate, greedy_flexible_decide,
-                         knowledge_for, sucre_decision)
+from .estimators import (EstimatorSpec, estimate, greedy_flexible_decide, knowledge_for,
+                         sucre_decision)
 from .scenario import (ScenarioConfig, Topology, bs_topology, build_topology, drop_ues,
                        natural_sets)
 
@@ -105,9 +105,8 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     if protocol != "bcf":
         # precoded response, then the distributed decision
         normalized = spec.kind == "est3"
-        obs = downlink_observation(
-            activity, serving, beta_act, alpha_lt, pilots, config, rng,
-            cpu_alpha_hat=cpu_alpha_hat(activity, config.noise_mw) if normalized else None)
+        obs = downlink_observation(activity, serving, beta_act, alpha_lt, pilots, config, rng,
+                                   normalized)
         if normalized:
             q_vals = obs.effective_dl_power[serving.mask]
             q_eff_mean = float(q_vals.mean()) if q_vals.size else float("nan")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -69,11 +70,14 @@ def write_table(rows: list[dict], path, columns) -> None:
 
     The CSV header is ``columns``, so an empty table still has one; floats
     are written in their shortest round-trip form and read back bit-exact.
+    The JSON is strict (RFC 8259): a NaN or infinite float is written as null.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".json":
-        path.write_text(json.dumps(rows, indent=2) + "\n")
+        strict = [{name: None if isinstance(value, float) and not math.isfinite(value) else value
+                   for name, value in row.items()} for row in rows]
+        path.write_text(json.dumps(strict, indent=2, allow_nan=False) + "\n")
         return
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=columns)

@@ -3,8 +3,8 @@
 A :class:`SweepDescriptor` names the |U| values, protocols, estimators and
 trial budget of a campaign sweep, which :func:`run_sweep` executes in
 deterministic order; :func:`bench_point` is one row of the estimator table.
-:func:`write_outputs` writes either table of
-:class:`~cfra.metrics.MetricsReport` rows plus a JSON run manifest. The
+:func:`write_outputs` writes any table of dict rows plus a JSON run
+manifest; every ``cfra`` subcommand's output goes through it. The
 closed-form separability curve is ``cfra analyze``'s table.
 """
 
@@ -21,7 +21,7 @@ from . import __version__
 from .bench import run_estimator_bench
 from .contention import PROTOCOLS, protocol_spec, run_access_campaign
 from .estimators import CF_ESTIMATORS, NEARBY_METHODS, best_pair
-from .metrics import MetricsReport, iqr, tcp, write_reports
+from .metrics import CSV_COLUMNS, MetricsReport, iqr, tcp, write_table
 from .scenario import ScenarioConfig
 
 
@@ -88,7 +88,7 @@ def _campaign_point(desc: SweepDescriptor, num_ues: int, protocol: str,
 
 
 def run_sweep(desc: SweepDescriptor, config: ScenarioConfig) -> list[MetricsReport]:
-    """Execute every sweep point in order (:func:`write_outputs` saves them).
+    """Execute every sweep point in order (:func:`write_outputs` saves their ``asdict`` rows).
 
     cf-sucre runs every listed estimator; bcf and ce-sucre give one row per
     |U|, under the first.
@@ -103,21 +103,23 @@ def run_sweep(desc: SweepDescriptor, config: ScenarioConfig) -> list[MetricsRepo
     return reports
 
 
-def write_outputs(reports, path, config: ScenarioConfig, arguments: dict) -> Path:
-    """Write the report table to ``path`` and its run manifest next to it.
+def write_outputs(rows: list[dict], path, config: ScenarioConfig, arguments: dict) -> Path:
+    """Write the table ``rows`` to ``path`` and its run manifest next to it.
 
-    The table is JSON if ``path`` ends in ``.json``, else CSV; the manifest
+    The table is JSON if ``path`` ends in ``.json``, else CSV, whose header is
+    the first row's keys (``CSV_COLUMNS`` for an empty table, as a
+    :class:`~cfra.metrics.MetricsReport` table has); the manifest
     ``<stem>.manifest.json`` records the run's ``arguments``, the scenario
     config and the row count. Returns the manifest's path.
     """
     path = Path(path)
-    write_reports(reports, path)
+    write_table(rows, path, list(rows[0]) if rows else CSV_COLUMNS)
     manifest = {
         "provenance": f"cfra {__version__} python {platform.python_version()} "
                       f"numpy {np.__version__}",
         "arguments": arguments,
         "config": asdict(config),
-        "rows": len(reports),
+        "rows": len(rows),
     }
     manifest_path = path.with_name(f"{path.stem}.manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")

@@ -83,13 +83,13 @@ def test_stacked_precoder_and_large_n_equal_per_slice_calls():
     activity[1, 2] = 0.0                                           # pilot 2 unserved in draw 1
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw)
-    for alpha in (None, alpha_hat):
-        scale, q_eff = precoder_weights(activity, serving.mask, cfg, alpha)
+    for normalized, alpha in ((False, None), (True, alpha_hat)):
+        scale, q_eff = precoder_weights(activity, serving.mask, cfg, normalized)
         z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg, alpha)
         assert z_tilde.shape == (3, 6) and z_tilde[1, 3:].tolist() == [0.0] * 3
         for d in range(3):
             one = None if alpha is None else alpha[d]
-            s_d, q_d = precoder_weights(activity[d], serving.mask[d], cfg, one)
+            s_d, q_d = precoder_weights(activity[d], serving.mask[d], cfg, normalized)
             assert np.array_equal(scale[d], s_d) and np.array_equal(q_eff[d], q_d)
             assert np.array_equal(z_tilde[d], large_n_observation(
                 topo.beta, pilots, serving.mask[d], cfg, one))
@@ -154,7 +154,7 @@ def test_normalized_precoding_reduces_power():
     serving = build_serving_sets(activity, cfg.num_aps, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw)
     obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
-                               cpu_alpha_hat=alpha_hat)
+                               normalized=True)
     q_vals = obs.effective_dl_power[serving.mask]
     assert q_vals.size
     assert q_vals.mean() < cfg.dl_power_per_ap_mw
@@ -225,7 +225,7 @@ def test_z_tilde_matches_per_ue_loop(kind):
     serving = build_serving_sets(activity, cfg.l_max, cfg.noise_mw)
     alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
     obs = downlink_observation(activity, serving, topo.beta, alpha_lt, pilots, cfg, rng,
-                               cpu_alpha_hat=alpha_hat)
+                               normalized=kind == "normalized")
     assert not obs.served.all() and obs.served.any()
     z_tilde = large_n_observation(topo.beta, pilots, serving.mask, cfg, alpha_hat)
     expect = _z_tilde_loop(topo.beta, pilots, serving, cfg, kind, alpha_hat)

@@ -226,6 +226,27 @@ def test_setups_run_in_fixed_blocks(monkeypatch):
     assert res.nmse.shape == res.neb.shape == res.nmd.shape == (45 * 3,)
 
 
+@pytest.mark.parametrize("kind, name, value", [
+    ("est2", "num_setups", 0),
+    ("est2", "num_realizations", 0),
+    ("est2", "collision_size", 0),
+    ("est2", "nearby_size", 0),
+    ("est2", "nearby_size", 100),       # L = 64
+    ("cellular", "nearby_size", 2),     # the single BS: L = 1
+])
+def test_bench_rejects_non_physical_input(kind, name, value):
+    """A count below 1 or a nearby set larger than the site raises a
+    ValueError naming the argument, before anything is drawn."""
+    nearby, l_max = best_pair(kind, 3)
+    args = {"collision_size": 3, "nearby_size": nearby, "num_setups": 2,
+            "num_realizations": 4, name: value}
+    rng = np.random.default_rng(6)
+    with pytest.raises(ValueError, match=name):
+        run_estimator_bench(kind, args.pop("collision_size"), args.pop("nearby_size"), l_max,
+                            ScenarioConfig(), rng, **args)
+    assert rng.random() == np.random.default_rng(6).random()
+
+
 def test_bench_memory_is_flat_in_the_setup_count():
     """The traced allocation peak at 100 setups stays within 1.3x of the peak at 20."""
     nearby, l_max = best_pair("est2", 10)

@@ -148,7 +148,7 @@ def test_estimators_bench_rows_are_sweep_bench_points(tmp_path):
     for got, want in zip(rows, expect):
         assert got.keys() == want.keys()
         for name, value in want.items():
-            assert got[name] == value or (value != value and got[name] != got[name]), name
+            assert got[name] == (None if value != value else value), name
 
 
 def test_estimators_bench_rejects_untuned_size(tmp_path, capsys):
@@ -275,7 +275,8 @@ def test_parser_rejects_unread_or_invalid_flags(argv, tmp_path, capsys):
 
 
 def test_sweep_json_holds_the_csv_rows(tmp_path, small_cfg):
-    """``--format json`` writes the rows the CSV run writes, and no CSV."""
+    """``--format json`` writes the rows the CSV run writes, and no CSV; a
+    NaN of the CSV is null in the JSON."""
     for fmt in ("csv", "json"):
         assert main(["sweep", "--config", str(small_cfg), "--out", str(tmp_path / fmt),
                      "--values", "200", "2e2", "--protocols", "bcf", "cf-sucre",
@@ -288,4 +289,48 @@ def test_sweep_json_holds_the_csv_rows(tmp_path, small_cfg):
     for got, want in zip(from_json, from_csv):
         assert got.keys() == want.keys()
         for name, value in want.items():
-            assert got[name] == value or (value != value and got[name] != got[name]), name
+            assert got[name] == (None if value != value else value), name
+
+
+# one cheap run of each subcommand, and the flags it reads with their values
+SUBCOMMAND_RUNS = {
+    "simulate": (["--trials", "2", "--protocol", "cf-sucre", "--estimator", "est3"],
+                 {"seed": 0, "trials": 2, "protocol": "cf-sucre", "estimator": "est3",
+                  "nearby_method": "fixed"}),
+    "sweep": (["--values", "200", "--trials", "2", "--protocols", "bcf", "cf-sucre"],
+              {"seed": 0, "trials": 2, "values": [200.0], "protocols": ["bcf", "cf-sucre"],
+               "estimators": ["est2"], "nearby_method": "fixed"}),
+    "analyze": (["--num-ues", "1000", "5000"], {"num_ues": [1000.0, 5000.0]}),
+    "train-lmax": (["--rounds", "20", "--repetitions", "2"],
+                   {"seed": 0, "rounds": 20, "repetitions": 2}),
+    "calibrate-delta": (["--draws", "100", "--l-max", "8"],
+                        {"seed": 0, "l_max": 8, "draws": 100}),
+    "estimators-bench": (["--trials", "2", "--collision-sizes", "2", "--estimators", "est1"],
+                         {"seed": 0, "trials": 2, "collision_sizes": [2],
+                          "estimators": ["est1"]}),
+}
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", list(SUBCOMMAND_RUNS))
+def test_every_subcommand_writes_its_table_and_manifest(command, fmt, tmp_path, small_cfg):
+    """``--out`` holds the table and its manifest, which counts the table's
+    rows and records exactly the flags the subcommand reads. A JSON table is
+    strict JSON (RFC 8259): no NaN or Infinity tokens."""
+    argv, arguments = SUBCOMMAND_RUNS[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, "--config", str(small_cfg), "--out", str(out),
+                 "--format", fmt]) == 0
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        [f"{command}.{fmt}", f"{command}.manifest.json"])
+    table = out / f"{command}.{fmt}"
+    rows = (json.loads(table.read_text(), parse_constant=_reject_constant) if fmt == "json"
+            else _read_csv(table))
+    manifest = json.loads((out / f"{command}.manifest.json").read_text())
+    assert manifest["rows"] == len(rows) > 0
+    assert manifest["arguments"] == arguments
+    assert manifest["config"] == asdict(ScenarioConfig(num_inactive_ues=200))

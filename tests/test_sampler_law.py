@@ -82,9 +82,8 @@ def _attempt_sampler(beta, pilots, cfg, columns, l_max, kinds, rng, reps):
     serving = build_serving_sets(activity, l_max, cfg.noise_mw)
     out = [activity, serving.mask]
     for kind in kinds:
-        alpha_hat = cpu_alpha_hat(activity, cfg.noise_mw) if kind == "normalized" else None
         out.append(downlink_observation(activity, serving, beta, alpha_lt, pilots, cfg, rng,
-                                        cpu_alpha_hat=alpha_hat).z)
+                                        normalized=kind == "normalized").z)
     return out
 
 

@@ -30,7 +30,8 @@ def test_descriptor_validation():
 def test_empty_values_yield_no_reports(tmp_path):
     desc = SweepDescriptor(values=())
     reports = run_sweep(desc, ScenarioConfig())
-    write_outputs(reports, tmp_path / "sweep.csv", ScenarioConfig(), asdict(desc))
+    write_outputs([asdict(r) for r in reports], tmp_path / "sweep.csv", ScenarioConfig(),
+                  asdict(desc))
     assert reports == []
     assert read_reports(tmp_path / "sweep.csv") == []
 
@@ -53,7 +54,8 @@ def test_campaign_sweep_and_manifest(tmp_path):
     cfg = ScenarioConfig(num_inactive_ues=200, access_probability=0.05)
     desc = SweepDescriptor(values=(200,), trials=2, seed=3, protocols=("bcf",))
     reports = run_sweep(desc, cfg)
-    manifest_path = write_outputs(reports, tmp_path / "sweep.csv", cfg, asdict(desc))
+    manifest_path = write_outputs([asdict(r) for r in reports], tmp_path / "sweep.csv", cfg,
+                                  asdict(desc))
     assert manifest_path == tmp_path / "sweep.manifest.json"
     assert len(reports) == 1
     assert reports[0].protocol == "bcf"
@@ -90,7 +92,8 @@ def test_campaign_trials_count_nonempty_cohorts(tmp_path, monkeypatch):
     cfg = ScenarioConfig(access_probability=0.01)
     desc = SweepDescriptor(values=(50,), trials=12, seed=4, protocols=("bcf",))
     reports = run_sweep(desc, cfg)
-    manifest_path = write_outputs(reports, tmp_path / "sweep.csv", cfg, asdict(desc))
+    manifest_path = write_outputs([asdict(r) for r in reports], tmp_path / "sweep.csv", cfg,
+                                  asdict(desc))
     effective = int(np.isfinite(anaa).sum())
     assert len(anaa) == 12 and 0 < effective < 12      # some cohorts were empty
     assert reports[0].trials == effective
