@@ -32,13 +32,24 @@ def build_serving_sets(activity: np.ndarray, l_max: int, noise_mw: float) -> Ser
     ``activity`` is (..., T, L); every row is ranked on its own. Entries at or
     below the noise power are irrelevant and never serve; ties on equal
     activity go to the lower AP index.
+
+    Rows are ranked with numpy's default sort and the mask is a threshold at
+    each row's ``l_max``-th largest value: a row of distinct values has one
+    descending order, so any sort gives it. Only when some row holds two
+    equal activities (a Gamma draw never does), or a NaN, is the stack
+    ranked with the stable sort, which sends the tie to the lower AP index.
     """
     n_aps = activity.shape[-1]
     if not 1 <= l_max <= n_aps:
         raise ValueError("l_max out of range")
+    size = np.minimum((activity > noise_mw).sum(axis=-1), l_max)
+    ranked = np.sort(activity, axis=-1)
+    if (ranked[..., 1:] > ranked[..., :-1]).all():
+        order = np.argsort(-activity, axis=-1)
+        mask = (activity >= ranked[..., n_aps - l_max, None]) & (activity > noise_mw)
+        return ServingSets(mask=mask, order=order, size=size)
     order = np.argsort(-activity, axis=-1, kind="stable")
     # rows are ranked, so the above-noise APs are a prefix of each order row
-    size = np.minimum((activity > noise_mw).sum(axis=-1), l_max)
     mask = np.zeros(activity.shape, dtype=bool)
     np.put_along_axis(mask, order, np.arange(n_aps) < size[..., None], axis=-1)
     return ServingSets(mask=mask, order=order, size=size)

@@ -83,9 +83,9 @@ def calibrate_delta(config: ScenarioConfig, l_max: int, rng: np.random.Generator
                                   config.noise_mw, rng)                   # (D, 1, L)
         serving = build_serving_sets(activity, l_max, config.noise_mw)
         _, q_eff = precoder_weights(activity, serving.mask, config, normalized=True)
-        # serving entries draw by draw, strongest first
-        ranked = np.take_along_axis(q_eff, serving.order, axis=-1)
-        q_values.append(ranked[np.arange(config.num_aps) < serving.size[..., None]])
+        # serving entries draw by draw, strongest first: at most the l_max head
+        ranked = np.take_along_axis(q_eff, serving.order[..., :l_max], axis=-1)
+        q_values.append(ranked[np.arange(l_max) < serving.size[..., None]])
     q_all = np.concatenate(q_values)
     if q_all.size == 0:
         raise RuntimeError("calibration produced no serving APs")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +83,3 @@ def write_table(rows: list[dict], path, columns) -> None:
         writer = csv.DictWriter(fh, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)
-
-
-def write_reports(reports, path) -> None:
-    write_table([asdict(r) for r in reports], path, CSV_COLUMNS)

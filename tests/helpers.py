@@ -31,7 +31,7 @@ def overlap_area(d: float, radius: float) -> float:
 
 
 def read_reports(path) -> list[MetricsReport]:
-    """The rows of a CSV table written by :func:`cfra.metrics.write_reports`."""
+    """The rows of a CSV table written by :func:`cfra.metrics.write_table`."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_COLUMNS:

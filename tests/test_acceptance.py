@@ -6,7 +6,7 @@ minutes; the campaign-based criteria (9, 11) dominate.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from cfra.channel import pilot_activity
 from cfra.contention import run_access_campaign, run_attempt
 from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate,
                              estimate_2_per_ap, estimate_cellular, knowledge_for)
-from cfra.metrics import CSV_COLUMNS, MetricsReport, tcp, write_reports
+from cfra.metrics import CSV_COLUMNS, MetricsReport, tcp, write_table
 from cfra.scenario import ScenarioConfig, build_topology, limit_distance, pathloss_beta
 from helpers import large_n_observation, linear_to_db, read_reports
 
@@ -275,7 +275,7 @@ def test_criterion_12_property_suites():
                            tcp_mw_symbols=76.123456789, trials=500, seed=12)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.csv"
-        write_reports([report], path)
+        write_table([asdict(report)], path, CSV_COLUMNS)
         back = read_reports(path)[0]
         ok_csv = all(getattr(report, c) == getattr(back, c) for c in CSV_COLUMNS
                      if not (isinstance(getattr(report, c), float)

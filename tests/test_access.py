@@ -72,6 +72,48 @@ def test_stacked_serving_sets_equal_per_slice_calls(l_max):
             assert np.array_equal(stacked.order[i][t, :stacked.size[i][t]], rule)
 
 
+def _stable_serving_sets(activity, l_max, noise_mw):
+    """The serving rule by a stable rank and a scatter: (mask, order, size)."""
+    order = np.argsort(-activity, axis=-1, kind="stable")
+    size = np.minimum((activity > noise_mw).sum(axis=-1), l_max)
+    mask = np.zeros(activity.shape, dtype=bool)
+    np.put_along_axis(mask, order, np.arange(activity.shape[-1]) < size[..., None], axis=-1)
+    return mask, order, size
+
+
+def _serving_stacks(lead, n_aps, rng):
+    """Activity stacks (..., 5, L): Gamma draws, tie-heavy draws, noise-floor rows, one tie."""
+    shape = lead + (5, n_aps)
+    gamma = 0.1 + rng.gamma(2.0, 1.0, size=shape)
+    yield gamma
+    yield rng.choice([0.0, 0.3, 0.5, 1.0, 2.0, 5.0], size=shape)
+    quiet = gamma.copy()
+    quiet[..., 0, :] = 0.5 * rng.random(shape[:-2] + (n_aps,))  # one row below noise, no tie
+    yield quiet
+    quiet[..., 1, :] = 0.5                                      # and one row exactly at noise
+    yield quiet
+    if n_aps > 1:
+        one_tie = gamma.copy()
+        one_tie.reshape(-1, n_aps)[-1, 0] = one_tie.reshape(-1, n_aps)[-1, -1]
+        yield one_tie                                          # only the last row ties
+        with_nan = gamma.copy()
+        with_nan.reshape(-1, n_aps)[0, 0] = np.nan
+        yield with_nan
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+@pytest.mark.parametrize("n_aps", [1, 6, 64])
+def test_serving_sets_equal_the_stable_rank_bit_for_bit(lead, n_aps):
+    rng = np.random.default_rng(12)
+    for activity in _serving_stacks(lead, n_aps, rng):
+        for l_max in sorted({1, min(3, n_aps), n_aps}):
+            serving = build_serving_sets(activity, l_max, noise_mw=0.5)
+            mask, order, size = _stable_serving_sets(activity, l_max, 0.5)
+            assert serving.mask.dtype == mask.dtype and np.array_equal(serving.mask, mask)
+            assert serving.order.dtype == order.dtype and np.array_equal(serving.order, order)
+            assert serving.size.dtype == size.dtype and np.array_equal(serving.size, size)
+
+
 def test_stacked_precoder_and_large_n_equal_per_slice_calls():
     cfg = ScenarioConfig()
     rng = np.random.default_rng(11)

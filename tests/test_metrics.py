@@ -1,10 +1,12 @@
 """Metric arithmetic and CSV report round-trips."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from cfra.contention import CampaignResult
-from cfra.metrics import CSV_COLUMNS, MetricsReport, iqr, tcp, write_reports
+from cfra.metrics import CSV_COLUMNS, MetricsReport, iqr, tcp, write_table
 from cfra.scenario import ScenarioConfig
 from helpers import read_reports
 
@@ -48,7 +50,7 @@ def test_report_roundtrip_bit_exact(tmp_path):
                       estimator="est1", anaa=float("inf")),
     ]
     path = tmp_path / "out.csv"
-    write_reports(reports, path)
+    write_table([asdict(r) for r in reports], path, CSV_COLUMNS)
     back = read_reports(path)
     assert len(back) == 2
     for orig, got in zip(reports, back):
