@@ -26,7 +26,7 @@ from .estimators import (BEST_PAIRS, CF_ESTIMATORS, ESTIMATOR_KINDS,
                          best_pair, cpu_alpha_hat, estimate, estimate_2_per_ap,
                          estimate_cellular, greedy_flexible_decide, knowledge_for,
                          sucre_decision)
-from .metrics import CSV_COLUMNS, MetricsReport, iqr, tcp, write_table
+from .metrics import iqr, tcp, write_table
 from .scenario import (ScenarioConfig, Topology, ap_grid, bs_topology,
                        build_topology, db_to_linear, limit_distance,
                        load_config, natural_sets, pathloss_beta)

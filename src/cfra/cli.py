@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from .analysis import separability_prediction
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .contention import PROTOCOLS, protocol_spec, run_access_campaign
 from .estimators import CF_ESTIMATORS, ESTIMATOR_KINDS, NEARBY_METHODS
+from .metrics import tcp
 from .scenario import ScenarioConfig, load_config
 from .sweeps import SweepDescriptor, bench_point, run_sweep, write_outputs
 
@@ -106,6 +107,8 @@ def _cmd_simulate(args, config: ScenarioConfig) -> list[dict]:
             "success_rate": float(result.succeeded.mean()) if result.succeeded.size else float("nan"),
             "cohort_size": int(result.attempts.size),
             "l_bar": result.l_bar, "tau_bar": result.tau_bar,
+            "blocks": result.blocks, "truncated": result.truncated,
+            "tcp_mw_symbols": tcp(args.protocol, result, config),
         })
     finite = [r["anaa"] for r in rows if np.isfinite(r["anaa"])]
     mean = float(np.mean(finite)) if finite else float("nan")
@@ -118,7 +121,7 @@ def _cmd_sweep(args, config: ScenarioConfig) -> list[dict]:
         values=tuple(args.values), trials=args.trials, seed=args.seed,
         protocols=tuple(args.protocols), estimators=tuple(args.estimators),
         nearby_method=args.nearby_method)
-    return [asdict(report) for report in run_sweep(desc, config)]
+    return run_sweep(desc, config)
 
 
 def _cmd_analyze(args, config: ScenarioConfig) -> list[dict]:
@@ -160,9 +163,9 @@ def _cmd_estimators_bench(args, config: ScenarioConfig) -> list[dict]:
     rows = []
     for size in args.collision_sizes:
         for kind in args.estimators:
-            report = bench_point(size, kind, config, rng, args.trials, args.seed)
-            print(f"|S_t|={size} {kind}: NMSE median {report.nmse_median:.4g}")
-            rows.append(asdict(report))
+            row = bench_point(size, kind, config, rng, args.trials, args.seed)
+            print(f"|S_t|={size} {kind}: NMSE median {row['nmse_median']:.4g}")
+            rows.append(row)
     return rows
 
 

@@ -160,9 +160,12 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
     UEs activate, and only they are dropped on the square and joined to the
     campaign's topology, whose rows are the activated UEs in activation
     order on the protocol's one site (the BS under ce-sucre, else the AP
-    grid); the cohort is the first block's rows. Failed UEs retry with the
-    configured coin flip, and fresh activations join every block so
-    contention pressure stays stationary. Only the cohort is tracked.
+    grid); the cohort is the first block's rows, tagged in a system with no
+    backlog yet. Failed UEs retry with the configured coin flip and later
+    blocks add fresh activations, so the backlog builds while the cohort is
+    served: the ANAA is a cold-start reading, not a steady-state one. Only
+    the cohort's attempts are returned, and the campaign ends when the
+    cohort is resolved or after :data:`MAX_CAMPAIGN_BLOCKS` blocks.
     """
     def drop(num_ues: int) -> Topology:
         return (bs_topology(config, drop_ues(config, rng, num_ues)) if protocol == "ce-sucre"

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -42,36 +41,16 @@ def tcp(protocol: str, result, config: ScenarioConfig) -> float:
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-@dataclass
-class MetricsReport:
-    """One sweep point's results; one row of a report table."""
-
-    sweep_axis: str
-    sweep_value: float
-    protocol: str = ""
-    estimator: str = ""
-    nearby_method: str = ""
-    anaa: float = float("nan")
-    tcp_mw_symbols: float = float("nan")
-    nmse_median: float = float("nan")
-    nmse_iqr: float = float("nan")
-    neb_median: float = float("nan")
-    neb_iqr: float = float("nan")
-    nmd_mean: float = float("nan")
-    trials: int = 0     # campaigns that gave an ANAA, or bench setups
-    seed: int = 0
-
-
-CSV_COLUMNS = [f.name for f in fields(MetricsReport)]
-
-
-def write_table(rows: list[dict], path, columns) -> None:
+def write_table(rows: list[dict], path) -> None:
     """Write ``rows`` to ``path``: a JSON list if it ends in ``.json``, else CSV.
 
-    The CSV header is ``columns``, so an empty table still has one; floats
-    are written in their shortest round-trip form and read back bit-exact.
-    The JSON is strict (RFC 8259): a NaN or infinite float is written as null.
+    The CSV header is the first row's keys, so an empty ``rows`` raises
+    ``ValueError`` in either format; floats are written in their shortest
+    round-trip form and read back bit-exact. The JSON is strict (RFC 8259):
+    a NaN or infinite float is written as null.
     """
+    if not rows:
+        raise ValueError("a table needs at least one row")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     if path.suffix == ".json":
@@ -80,6 +59,6 @@ def write_table(rows: list[dict], path, columns) -> None:
         path.write_text(json.dumps(strict, indent=2, allow_nan=False) + "\n")
         return
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)

@@ -1,19 +1,17 @@
 """Helpers that only the tests read: a dB conversion, the lens area of two
-disks, the reader of the sweep tables ``cfra.metrics`` writes, the large-N
+disks, the typed reader of the CSV tables ``cfra.metrics`` writes, the large-N
 downlink observation, the reference access campaign over a |U|-long
 population, and the reference average of repeated activity draws."""
 
 import csv
 import math
-from dataclasses import fields
 
 import numpy as np
 
 from cfra.access import true_alpha_lt
 from cfra.channel import pilot_activity
 from cfra.contention import MAX_CAMPAIGN_BLOCKS, run_attempt
-from cfra.metrics import CSV_COLUMNS, MetricsReport
-from cfra.scenario import ScenarioConfig, bs_topology, build_topology, parse_field
+from cfra.scenario import ScenarioConfig, bs_topology, build_topology
 
 
 def linear_to_db(value):
@@ -30,14 +28,33 @@ def overlap_area(d: float, radius: float) -> float:
     return h1 - h2
 
 
-def read_reports(path) -> list[MetricsReport]:
-    """The rows of a CSV table written by :func:`cfra.metrics.write_table`."""
+# the headers of the two report tables, as ``cfra sweep`` and ``cfra estimators-bench`` write them
+SWEEP_COLUMNS = ["num_inactive_ues", "protocol", "estimator", "nearby_method", "anaa",
+                 "tcp_mw_symbols", "trials", "truncated", "seed"]
+BENCH_COLUMNS = ["collision_size", "protocol", "estimator", "nearby_method", "nmse_median",
+                 "nmse_iqr", "neb_median", "neb_iqr", "nmd_mean", "trials", "seed"]
+
+
+def _typed(text: str):
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
+def read_reports(path, columns) -> list[dict]:
+    """The rows of a CSV table written by :func:`cfra.metrics.write_table`.
+
+    Each value is read as an int, else a float, else kept as text; the
+    header must be ``columns``, else ``ValueError``.
+    """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
+        if reader.fieldnames != list(columns):
             raise ValueError(f"unexpected CSV header: {reader.fieldnames}")
-        return [MetricsReport(**{f.name: parse_field(f, row[f.name])
-                                 for f in fields(MetricsReport)}) for row in reader]
+        return [{name: _typed(text) for name, text in row.items()} for row in reader]
 
 
 def large_n_observation(beta_active: np.ndarray, pilots: np.ndarray,

@@ -6,7 +6,7 @@ minutes; the campaign-based criteria (9, 11) dominate.
 """
 
 import math
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +20,9 @@ from cfra.channel import pilot_activity
 from cfra.contention import run_access_campaign, run_attempt
 from cfra.estimators import (BEST_PAIRS, EstimatorSpec, estimate,
                              estimate_2_per_ap, estimate_cellular, knowledge_for)
-from cfra.metrics import CSV_COLUMNS, MetricsReport, tcp, write_table
+from cfra.metrics import tcp, write_table
 from cfra.scenario import ScenarioConfig, build_topology, limit_distance, pathloss_beta
-from helpers import large_n_observation, linear_to_db, read_reports
+from helpers import SWEEP_COLUMNS, large_n_observation, linear_to_db, read_reports
 
 
 def _report(num: int, ok: bool, detail: str) -> bool:
@@ -269,17 +269,14 @@ def test_criterion_12_property_suites():
     # (iv) CSV round-trip and seed determinism, bit-exact
     import tempfile
     from pathlib import Path
-    report = MetricsReport(sweep_axis="num_inactive_ues", sweep_value=5000.0,
-                           protocol="cf-sucre", estimator="est3",
-                           nearby_method="fixed", anaa=1.0 / 3.0,
-                           tcp_mw_symbols=76.123456789, trials=500, seed=12)
+    report = {"num_inactive_ues": 5000, "protocol": "cf-sucre", "estimator": "est3",
+              "nearby_method": "fixed", "anaa": 1.0 / 3.0,
+              "tcp_mw_symbols": 76.123456789, "trials": 500, "truncated": 0, "seed": 12}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "roundtrip.csv"
-        write_table([asdict(report)], path, CSV_COLUMNS)
-        back = read_reports(path)[0]
-        ok_csv = all(getattr(report, c) == getattr(back, c) for c in CSV_COLUMNS
-                     if not (isinstance(getattr(report, c), float)
-                             and np.isnan(getattr(report, c))))
+        write_table([report], path)
+        back = read_reports(path, SWEEP_COLUMNS)[0]
+        ok_csv = back == report
     cfg = ScenarioConfig(num_inactive_ues=300, access_probability=0.05)
     a = run_access_campaign("bcf", EstimatorSpec(), cfg, np.random.default_rng(122))
     b = run_access_campaign("bcf", EstimatorSpec(), cfg, np.random.default_rng(122))

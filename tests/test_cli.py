@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 import cfra
+from cfra import cli, contention, sweeps
 from cfra.cli import build_parser, main
+from cfra.metrics import tcp
 from cfra.scenario import ScenarioConfig
 from cfra.sweeps import bench_point
-from helpers import read_reports
+from helpers import BENCH_COLUMNS, SWEEP_COLUMNS, read_reports
 
 
 @pytest.fixture
@@ -113,12 +115,12 @@ def test_estimators_bench(tmp_path, small_cfg):
                  "--out", str(tmp_path), "--trials", "5",
                  "--collision-sizes", "2", "--estimators", "est1", "cellular"])
     assert code == 0
-    reports = read_reports(tmp_path / "estimators-bench.csv")
-    assert [(r.estimator, r.protocol, r.nearby_method) for r in reports] == [
+    reports = read_reports(tmp_path / "estimators-bench.csv", BENCH_COLUMNS)
+    assert [(r["estimator"], r["protocol"], r["nearby_method"]) for r in reports] == [
         ("est1", "cf-sucre", "fixed"), ("cellular", "ce-sucre", "fixed")]
     for r in reports:
-        assert np.isfinite(r.nmse_median)
-        assert np.isfinite(r.neb_median)
+        assert np.isfinite(r["nmse_median"])
+        assert np.isfinite(r["neb_median"])
     manifest = json.loads((tmp_path / "estimators-bench.manifest.json").read_text())
     assert manifest["arguments"]["estimators"] == ["est1", "cellular"]
     assert manifest["config"]["num_inactive_ues"] == 200
@@ -129,9 +131,10 @@ def test_estimators_bench_csv_reads_back_as_reports(tmp_path, small_cfg):
     """The estimators-bench CSV is in the package's own report format."""
     assert main(["estimators-bench", "--config", str(small_cfg), "--out", str(tmp_path),
                  "--trials", "2", "--collision-sizes", "2", "--estimators", "est1"]) == 0
-    reports = read_reports(tmp_path / "estimators-bench.csv")
-    assert [(r.estimator, r.sweep_value, r.trials) for r in reports] == [("est1", 2.0, 2)]
-    assert np.isfinite(reports[0].nmd_mean)
+    reports = read_reports(tmp_path / "estimators-bench.csv", BENCH_COLUMNS)
+    assert [(r["estimator"], r["collision_size"], r["trials"]) for r in reports] == [
+        ("est1", 2, 2)]
+    assert np.isfinite(reports[0]["nmd_mean"])
 
 
 def test_estimators_bench_rows_are_sweep_bench_points(tmp_path):
@@ -142,7 +145,7 @@ def test_estimators_bench_rows_are_sweep_bench_points(tmp_path):
     rows = json.loads((tmp_path / "estimators-bench.json").read_text())
     cfg = ScenarioConfig()
     rng = np.random.default_rng(4)
-    expect = [asdict(bench_point(size, kind, cfg, rng, trials=2, seed=4))
+    expect = [bench_point(size, kind, cfg, rng, trials=2, seed=4)
               for size in (1, 3) for kind in ("est2", "cellular")]
     assert len(rows) == len(expect)
     for got, want in zip(rows, expect):
@@ -187,16 +190,23 @@ def test_readme_cli_lines_parse():
         assert parser.parse_args(argv[1:]).command == argv[1]
 
 
+def _readme_cli_table(heading: str) -> dict:
+    """The README CLI table whose second column is ``heading``: subcommand -> cell."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("## CLI", 1)[1]
+    lines = section.split(f"| Subcommand | {heading} |\n", 1)[1].split("\n\n", 1)[0]
+    table = {}
+    for line in lines.splitlines()[1:]:
+        name, cell = [c.strip() for c in line.strip().strip("|").split("|")]
+        table[name.strip("`")] = cell
+    return table
+
+
 def test_readme_flags_table_matches_parser():
     """The README's flags table lists exactly the flags each subcommand
     declares, besides the shared --config, --out and --format."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    section = readme.read_text().split("## CLI", 1)[1].split("```sh", 1)[0]
-    table = {}
-    for line in section.splitlines():
-        cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == 2 and cells[0].startswith("`"):
-            table[cells[0].strip("`")] = set(re.findall(r"`(--[a-z-]+)`", cells[1]))
+    table = {name: set(re.findall(r"`(--[a-z-]+)`", cell))
+             for name, cell in _readme_cli_table("Flags (default)").items()}
     subparsers = next(a for a in build_parser()._actions
                       if isinstance(a, argparse._SubParsersAction))
     shared = {"-h", "--help", "--config", "--out", "--format"}
@@ -284,7 +294,7 @@ def test_sweep_json_holds_the_csv_rows(tmp_path, small_cfg):
         assert sorted(f.name for f in (tmp_path / fmt).iterdir()) == [
             f"sweep.{fmt}", "sweep.manifest.json"]
     from_json = json.loads((tmp_path / "json" / "sweep.json").read_text())
-    from_csv = [asdict(r) for r in read_reports(tmp_path / "csv" / "sweep.csv")]
+    from_csv = read_reports(tmp_path / "csv" / "sweep.csv", SWEEP_COLUMNS)
     assert len(from_json) == len(from_csv) == 4
     for got, want in zip(from_json, from_csv):
         assert got.keys() == want.keys()
@@ -292,22 +302,30 @@ def test_sweep_json_holds_the_csv_rows(tmp_path, small_cfg):
             assert got[name] == (None if value != value else value), name
 
 
-# one cheap run of each subcommand, and the flags it reads with their values
+# one cheap run of each subcommand, the flags it reads with their values, and its header
 SUBCOMMAND_RUNS = {
     "simulate": (["--trials", "2", "--protocol", "cf-sucre", "--estimator", "est3"],
                  {"seed": 0, "trials": 2, "protocol": "cf-sucre", "estimator": "est3",
-                  "nearby_method": "fixed"}),
+                  "nearby_method": "fixed"},
+                 ["trial", "protocol", "estimator", "anaa", "success_rate", "cohort_size",
+                  "l_bar", "tau_bar", "blocks", "truncated", "tcp_mw_symbols"]),
     "sweep": (["--values", "200", "--trials", "2", "--protocols", "bcf", "cf-sucre"],
               {"seed": 0, "trials": 2, "values": [200.0], "protocols": ["bcf", "cf-sucre"],
-               "estimators": ["est2"], "nearby_method": "fixed"}),
-    "analyze": (["--num-ues", "1000", "5000"], {"num_ues": [1000.0, 5000.0]}),
+               "estimators": ["est2"], "nearby_method": "fixed"},
+              SWEEP_COLUMNS),
+    "analyze": (["--num-ues", "1000", "5000"], {"num_ues": [1000.0, 5000.0]},
+                ["num_inactive_ues", "psi", "exclusive_aps", "dominant_area_m2", "d_lim_m",
+                 "avg_collision_size"]),
     "train-lmax": (["--rounds", "20", "--repetitions", "2"],
-                   {"seed": 0, "rounds": 20, "repetitions": 2}),
+                   {"seed": 0, "rounds": 20, "repetitions": 2},
+                   ["round", "mean_serving_count"]),
     "calibrate-delta": (["--draws", "100", "--l-max", "8"],
-                        {"seed": 0, "l_max": 8, "draws": 100}),
+                        {"seed": 0, "l_max": 8, "draws": 100},
+                        ["delta", "q_avg_mw", "l_max", "draws"]),
     "estimators-bench": (["--trials", "2", "--collision-sizes", "2", "--estimators", "est1"],
                          {"seed": 0, "trials": 2, "collision_sizes": [2],
-                          "estimators": ["est1"]}),
+                          "estimators": ["est1"]},
+                         BENCH_COLUMNS),
 }
 
 
@@ -319,9 +337,11 @@ def _reject_constant(token):
 @pytest.mark.parametrize("command", list(SUBCOMMAND_RUNS))
 def test_every_subcommand_writes_its_table_and_manifest(command, fmt, tmp_path, small_cfg):
     """``--out`` holds the table and its manifest, which counts the table's
-    rows and records exactly the flags the subcommand reads. A JSON table is
-    strict JSON (RFC 8259): no NaN or Infinity tokens."""
-    argv, arguments = SUBCOMMAND_RUNS[command]
+    rows and records exactly the flags the subcommand reads. Every row has
+    exactly the subcommand's columns, in order: the CSV header and each
+    JSON row's keys. A JSON table is strict JSON (RFC 8259): no NaN or
+    Infinity tokens."""
+    argv, arguments, columns = SUBCOMMAND_RUNS[command]
     out = tmp_path / "out"
     assert main([command, *argv, "--config", str(small_cfg), "--out", str(out),
                  "--format", fmt]) == 0
@@ -330,7 +350,67 @@ def test_every_subcommand_writes_its_table_and_manifest(command, fmt, tmp_path, 
     table = out / f"{command}.{fmt}"
     rows = (json.loads(table.read_text(), parse_constant=_reject_constant) if fmt == "json"
             else _read_csv(table))
+    assert all(list(row) == columns for row in rows)
     manifest = json.loads((out / f"{command}.manifest.json").read_text())
     assert manifest["rows"] == len(rows) > 0
     assert manifest["arguments"] == arguments
     assert manifest["config"] == asdict(ScenarioConfig(num_inactive_ues=200))
+
+
+@pytest.mark.parametrize("command", ["sweep", "estimators-bench"])
+def test_report_tables_have_no_all_null_column(command, tmp_path):
+    """With non-empty cohorts every column of a report table holds a value
+    in some row: no column belongs only to the other table."""
+    cfg = tmp_path / "busy.cfg"
+    cfg.write_text("num_inactive_ues = 200\naccess_probability = 0.05\n")
+    argv, _, _ = SUBCOMMAND_RUNS[command]
+    assert main([command, *argv, "--config", str(cfg), "--out", str(tmp_path),
+                 "--format", "json"]) == 0
+    rows = json.loads((tmp_path / f"{command}.json").read_text())
+    assert [name for name in rows[0] if all(row[name] is None for row in rows)] == []
+
+
+def test_tables_count_blocks_and_truncated_campaigns(tmp_path, monkeypatch):
+    """At a low block cap some campaigns stop at the cap: a sweep row counts
+    them in ``truncated``, and each ``simulate`` row carries its campaign's
+    ``blocks``, ``truncated`` and TCP."""
+    run_campaign = contention.run_access_campaign
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(run_campaign(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(contention, "MAX_CAMPAIGN_BLOCKS", 4)
+    monkeypatch.setattr(sweeps, "run_access_campaign", spy)
+    monkeypatch.setattr(cli, "run_access_campaign", spy)
+    path = tmp_path / "overloaded.cfg"
+    path.write_text("num_inactive_ues = 1000\naccess_probability = 0.02\n")
+    config = ScenarioConfig(num_inactive_ues=1000, access_probability=0.02)
+
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path), "--format", "json",
+                 "--values", "1000", "--trials", "6", "--protocols", "bcf", "cf-sucre",
+                 "--seed", "3"]) == 0
+    rows = json.loads((tmp_path / "sweep.json").read_text())
+    assert len(results) == 12
+    counts = [sum(r.truncated for r in results[i:i + 6]) for i in (0, 6)]
+    assert [row["truncated"] for row in rows] == counts
+    assert 0 < sum(counts) < 12
+
+    results.clear()
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path), "--format",
+                 "json", "--trials", "6", "--protocol", "cf-sucre", "--seed", "3"]) == 0
+    rows = json.loads((tmp_path / "simulate.json").read_text())
+    assert [(row["blocks"], row["truncated"]) for row in rows] == [
+        (r.blocks, r.truncated) for r in results]
+    assert 0 < sum(r.truncated for r in results) < 6
+    for row, result in zip(rows, results):
+        want = tcp("cf-sucre", result, config)
+        assert row["tcp_mw_symbols"] == (None if want != want else want)
+
+
+def test_readme_columns_table_matches_the_tables():
+    """The README's columns table gives each subcommand's header as written."""
+    table = {name: re.findall(r"`(\w+)`", cell)
+             for name, cell in _readme_cli_table("Columns").items()}
+    assert table == {name: columns for name, (_, _, columns) in SUBCOMMAND_RUNS.items()}

@@ -1,14 +1,12 @@
 """Metric arithmetic and CSV report round-trips."""
 
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
 from cfra.contention import CampaignResult
-from cfra.metrics import CSV_COLUMNS, MetricsReport, iqr, tcp, write_table
+from cfra.metrics import iqr, tcp, write_table
 from cfra.scenario import ScenarioConfig
-from helpers import read_reports
+from helpers import SWEEP_COLUMNS, read_reports
 
 
 def test_iqr():
@@ -41,21 +39,22 @@ def test_tcp_formulas():
 
 def test_report_roundtrip_bit_exact(tmp_path):
     reports = [
-        MetricsReport(sweep_axis="num_inactive_ues", sweep_value=5000.0,
-                      protocol="cf-sucre", estimator="est3", nearby_method="fixed",
-                      anaa=1.0 / 3.0, tcp_mw_symbols=1.23456789e-7,
-                      nmse_median=0.1, nmse_iqr=float("nan"),
-                      neb_median=-0.27, neb_iqr=0.05, trials=500, seed=42),
-        MetricsReport(sweep_axis="collision_size", sweep_value=2.0,
-                      estimator="est1", anaa=float("inf")),
+        {"num_inactive_ues": 5000, "protocol": "cf-sucre", "estimator": "est3",
+         "nearby_method": "fixed", "anaa": 1.0 / 3.0, "tcp_mw_symbols": 1.23456789e-7,
+         "trials": 500, "truncated": 2, "seed": 42},
+        {"num_inactive_ues": 200, "protocol": "bcf", "estimator": "est1",
+         "nearby_method": "fixed", "anaa": float("inf"), "tcp_mw_symbols": float("nan"),
+         "trials": 0, "truncated": 0, "seed": 0},
     ]
     path = tmp_path / "out.csv"
-    write_table([asdict(r) for r in reports], path, CSV_COLUMNS)
-    back = read_reports(path)
+    write_table(reports, path)
+    back = read_reports(path, SWEEP_COLUMNS)
     assert len(back) == 2
     for orig, got in zip(reports, back):
-        for name in CSV_COLUMNS:
-            a, b = getattr(orig, name), getattr(got, name)
+        assert list(got) == list(orig)
+        for name, a in orig.items():
+            b = got[name]
+            assert type(a) is type(b), name
             if isinstance(a, float) and np.isnan(a):
                 assert np.isnan(b)
             else:
@@ -66,12 +65,12 @@ def test_read_reports_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("foo,bar\n1,2\n")
     with pytest.raises(ValueError, match="header"):
-        read_reports(path)
+        read_reports(path, SWEEP_COLUMNS)
 
 
-def test_csv_columns_fixed_contract():
-    assert CSV_COLUMNS == [
-        "sweep_axis", "sweep_value", "protocol", "estimator", "nearby_method",
-        "anaa", "tcp_mw_symbols", "nmse_median", "nmse_iqr", "neb_median",
-        "neb_iqr", "nmd_mean", "trials", "seed",
-    ]
+def test_write_table_rejects_an_empty_table(tmp_path):
+    """A table's header is its first row's keys, so an empty one has none."""
+    for name in ("empty.csv", "empty.json"):
+        with pytest.raises(ValueError, match="row"):
+            write_table([], tmp_path / name)
+    assert not any(tmp_path.iterdir())
