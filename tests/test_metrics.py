@@ -6,7 +6,8 @@ import pytest
 from cfra.contention import CampaignResult
 from cfra.metrics import iqr, tcp, write_table
 from cfra.scenario import ScenarioConfig
-from helpers import SWEEP_COLUMNS, read_reports
+from cfra.sweeps import SweepDescriptor, bench_point, run_sweep
+from helpers import BENCH_COLUMNS, SWEEP_COLUMNS, read_reports
 
 
 def test_iqr():
@@ -35,6 +36,23 @@ def test_tcp_formulas():
     assert bcf == pytest.approx(cfg.dl_power_per_ap_mw * 1.5 * cfg.num_aps)
     with pytest.raises(ValueError):
         tcp("aloha", _campaign(1.0), cfg)
+
+
+def test_csv_columns_fixed_contract(tmp_path):
+    """Each report table writes exactly its own columns, in a fixed order."""
+    sweep_header = ["num_inactive_ues", "protocol", "estimator", "nearby_method", "anaa",
+                    "tcp_mw_symbols", "trials", "truncated", "seed"]
+    bench_header = ["collision_size", "protocol", "estimator", "nearby_method",
+                    "nmse_median", "nmse_iqr", "neb_median", "neb_iqr", "nmd_mean",
+                    "trials", "seed"]
+    assert SWEEP_COLUMNS == sweep_header and BENCH_COLUMNS == bench_header
+    cfg = ScenarioConfig(num_inactive_ues=200, access_probability=0.05)
+    sweep_rows = run_sweep(SweepDescriptor(values=(200,), trials=1, protocols=("bcf",)), cfg)
+    bench_rows = [bench_point(2, "est1", cfg, np.random.default_rng(0), trials=1, seed=0)]
+    for name, rows, header in (("sweep.csv", sweep_rows, sweep_header),
+                               ("bench.csv", bench_rows, bench_header)):
+        write_table(rows, tmp_path / name)
+        assert (tmp_path / name).read_text().splitlines()[0] == ",".join(header)
 
 
 def test_report_roundtrip_bit_exact(tmp_path):
