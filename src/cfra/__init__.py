@@ -30,6 +30,5 @@ from .metrics import iqr, tcp, write_table
 from .scenario import (ScenarioConfig, Topology, ap_grid, bs_topology,
                        build_topology, db_to_linear, limit_distance,
                        load_config, natural_sets, pathloss_beta)
-from .sweeps import SweepDescriptor, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -4,26 +4,31 @@ Subcommands: simulate (one access campaign), sweep (the campaign sweep
 over |U|), analyze (closed-form separability curves), train-lmax,
 calibrate-delta, estimators-bench (the estimator table). Each takes
 --config, --out and --format; --seed and --trials only where it reads them.
-Each returns its rows, and :func:`main` writes them as
-``<subcommand>.<format>`` with ``<subcommand>.manifest.json``.
+The parser is the one check of the flags. Each subcommand builds its own
+rows, each a dict of its table's columns, and :func:`main` writes them as
+``<subcommand>.<format>`` with a JSON run manifest,
+``<subcommand>.manifest.json``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import platform
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .analysis import separability_prediction
+from .bench import run_estimator_bench
 from .calibration import TrainingConfig, calibrate_delta, train_lmax
 from .contention import PROTOCOLS, protocol_spec, run_access_campaign
-from .estimators import CF_ESTIMATORS, ESTIMATOR_KINDS, NEARBY_METHODS
-from .metrics import tcp
+from .estimators import CF_ESTIMATORS, ESTIMATOR_KINDS, NEARBY_METHODS, best_pair
+from .metrics import iqr, tcp, write_table
 from .scenario import ScenarioConfig, load_config
-from .sweeps import SweepDescriptor, bench_point, run_sweep, write_outputs
 
 
 def _count(text: str) -> int:
@@ -31,6 +36,14 @@ def _count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """A --seed value: an integer >= 0, as numpy's generators take."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
 
 
@@ -54,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--out", type=Path, default=Path("."), help="output directory")
     files.add_argument("--format", choices=("csv", "json"), default="csv")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=_seed, default=0)
     trials = argparse.ArgumentParser(add_help=False)
     trials.add_argument("--trials", type=_count, default=100)
 
@@ -117,11 +130,36 @@ def _cmd_simulate(args, config: ScenarioConfig) -> list[dict]:
 
 
 def _cmd_sweep(args, config: ScenarioConfig) -> list[dict]:
-    desc = SweepDescriptor(
-        values=tuple(args.values), trials=args.trials, seed=args.seed,
-        protocols=tuple(args.protocols), estimators=tuple(args.estimators),
-        nearby_method=args.nearby_method)
-    return run_sweep(desc, config)
+    """ANAA and TCP per |U| and protocol, every point on one generator, in row order.
+
+    cf-sucre runs every listed estimator; bcf and ce-sucre give one row per
+    |U|, under the first. ``trials`` counts the campaigns that gave an ANAA,
+    ``truncated`` those of all ``--trials`` that stopped at
+    :data:`~cfra.contention.MAX_CAMPAIGN_BLOCKS`.
+    """
+    rng = np.random.default_rng(args.seed)
+    # every |U| is checked as a scenario config before any campaign runs
+    points = [replace(config, num_inactive_ues=int(value)) for value in args.values]
+    rows = []
+    for point in points:
+        for protocol in args.protocols:
+            for kind in args.estimators if protocol == "cf-sucre" else args.estimators[:1]:
+                spec = protocol_spec(protocol, kind, args.nearby_method)
+                anaa, tcps, truncated = [], [], 0
+                for _ in range(args.trials):
+                    result = run_access_campaign(protocol, spec, point, rng)
+                    truncated += result.truncated
+                    if np.isfinite(result.anaa):
+                        anaa.append(result.anaa)
+                        tcps.append(tcp(protocol, result, point))
+                rows.append({
+                    "num_inactive_ues": point.num_inactive_ues, "protocol": protocol,
+                    "estimator": spec.kind, "nearby_method": spec.nearby_method,
+                    "anaa": float(np.mean(anaa)) if anaa else float("nan"),
+                    "tcp_mw_symbols": float(np.mean(tcps)) if tcps else float("nan"),
+                    "trials": len(anaa), "truncated": truncated, "seed": args.seed,
+                })
+    return rows
 
 
 def _cmd_analyze(args, config: ScenarioConfig) -> list[dict]:
@@ -163,9 +201,19 @@ def _cmd_estimators_bench(args, config: ScenarioConfig) -> list[dict]:
     rows = []
     for size in args.collision_sizes:
         for kind in args.estimators:
-            row = bench_point(size, kind, config, rng, args.trials, args.seed)
-            print(f"|S_t|={size} {kind}: NMSE median {row['nmse_median']:.4g}")
-            rows.append(row)
+            nearby_size, l_max = best_pair(kind, size)
+            result = run_estimator_bench(kind, size, nearby_size, l_max, config, rng,
+                                         num_setups=args.trials, num_realizations=100)
+            rows.append({
+                "collision_size": size,
+                "protocol": "ce-sucre" if kind == "cellular" else "cf-sucre",
+                "estimator": kind, "nearby_method": "fixed",
+                "nmse_median": float(np.median(result.nmse)), "nmse_iqr": iqr(result.nmse),
+                "neb_median": float(np.median(result.neb)), "neb_iqr": iqr(result.neb),
+                "nmd_mean": float(np.nanmean(result.nmd)),
+                "trials": args.trials, "seed": args.seed,
+            })
+            print(f"|S_t|={size} {kind}: NMSE median {rows[-1]['nmse_median']:.4g}")
     return rows
 
 
@@ -187,9 +235,17 @@ def main(argv=None) -> int:
         config = ScenarioConfig() if args.config is None else load_config(args.config)
         rows = _COMMANDS[args.command](args, config)
         path = args.out / f"{args.command}.{args.format}"
-        arguments = {name: value for name, value in vars(args).items()
-                     if name not in ("command", "config", "out", "format")}
-        manifest_path = write_outputs(rows, path, config, arguments)
+        write_table(rows, path)
+        manifest = {
+            "provenance": f"cfra {__version__} python {platform.python_version()} "
+                          f"numpy {np.__version__}",
+            "arguments": {name: value for name, value in vars(args).items()
+                          if name not in ("command", "config", "out", "format")},
+            "config": asdict(config),
+            "rows": len(rows),
+        }
+        manifest_path = args.out / f"{args.command}.manifest.json"
+        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

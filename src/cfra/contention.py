@@ -45,7 +45,10 @@ class AttemptOutcome:
     repeat: np.ndarray          # (K,) bool repeat decision; every UE under bcf
     alpha_hat: np.ndarray       # (K,) estimated total UL power; nan where not estimated
     admitted: np.ndarray        # rows of the UEs admitted this attempt
-    active_pilots: int
+    active_pilots: int              # pilots that some UE chose
+    # APs serving any pilot above noise, an unused pilot too: its activity is noise
+    # alone, above sigma^2 at ~45 % of APs when N = 8, so up to l_max APs serve it.
+    # CampaignResult.l_bar averages this count; tau_bar_pl counts used pilots only
     operative_ap_count: int
     served_active_per_ap: float     # mean over operative APs of served active pilots
     q_eff_mean: float               # mean effective DL power over serving entries

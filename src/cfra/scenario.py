@@ -85,8 +85,13 @@ class ScenarioConfig:
             raise ValueError("bs_dl_power_mw must be positive")
         if not self.compensation_factor >= 1.0:
             raise ValueError("compensation_factor must be >= 1")
-        if self.noise_mw <= 0.0 or self.omega_lin <= 0.0:
-            raise ValueError("noise_power_dbm, power_constant_db: linear power must be > 0")
+        for name in ("noise_power_dbm", "power_constant_db"):
+            try:   # 10 ** (dB / 10) overflows past ~3082 dB and underflows to 0
+                positive = db_to_linear(getattr(self, name)) > 0.0
+            except OverflowError:
+                positive = False
+            if not positive:
+                raise ValueError(f"{name}: linear power must be finite and > 0")
 
     # Derived once per instance; the cached values live outside the fields,
     # so equality, hashing and asdict() are unaffected.

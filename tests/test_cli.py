@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 import cfra
-from cfra import cli, contention, sweeps
+from cfra import cli, contention
+from cfra.bench import run_estimator_bench
 from cfra.cli import build_parser, main
-from cfra.metrics import tcp
+from cfra.estimators import best_pair
+from cfra.metrics import iqr, tcp
 from cfra.scenario import ScenarioConfig
-from cfra.sweeps import bench_point
 from helpers import BENCH_COLUMNS, SWEEP_COLUMNS, read_reports
 
 
@@ -137,16 +138,28 @@ def test_estimators_bench_csv_reads_back_as_reports(tmp_path, small_cfg):
     assert np.isfinite(reports[0]["nmd_mean"])
 
 
-def test_estimators_bench_rows_are_sweep_bench_points(tmp_path):
-    """The CLI emits exactly the rows ``sweeps.bench_point`` defines."""
+def test_estimators_bench_rows_summarize_run_estimator_bench(tmp_path):
+    """Each CLI row summarizes ``run_estimator_bench`` at the size's best
+    nearby-set size and serving cap, with every point drawn from one
+    generator in row order."""
     assert main(["estimators-bench", "--out", str(tmp_path), "--format", "json",
                  "--trials", "2", "--seed", "4", "--collision-sizes", "1", "3",
                  "--estimators", "est2", "cellular"]) == 0
     rows = json.loads((tmp_path / "estimators-bench.json").read_text())
     cfg = ScenarioConfig()
     rng = np.random.default_rng(4)
-    expect = [bench_point(size, kind, cfg, rng, trials=2, seed=4)
-              for size in (1, 3) for kind in ("est2", "cellular")]
+    expect = []
+    for size in (1, 3):
+        for kind in ("est2", "cellular"):
+            result = run_estimator_bench(kind, size, *best_pair(kind, size), cfg, rng,
+                                         num_setups=2, num_realizations=100)
+            expect.append({
+                "collision_size": size,
+                "protocol": "ce-sucre" if kind == "cellular" else "cf-sucre",
+                "estimator": kind, "nearby_method": "fixed",
+                "nmse_median": float(np.median(result.nmse)), "nmse_iqr": iqr(result.nmse),
+                "neb_median": float(np.median(result.neb)), "neb_iqr": iqr(result.neb),
+                "nmd_mean": float(np.nanmean(result.nmd)), "trials": 2, "seed": 4})
     assert len(rows) == len(expect)
     for got, want in zip(rows, expect):
         assert got.keys() == want.keys()
@@ -169,6 +182,19 @@ def test_validation_failure_exit_code(tmp_path, capsys):
                  "--values", "100"])
     assert code == 1
     assert f"error: {path}: num_pilots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["noise_power_dbm = 4000", "power_constant_db = 3090"])
+def test_overflowing_db_field_is_a_validation_failure(line, tmp_path):
+    """A dB value whose linear power overflows a float fails validation like
+    any other: exit 1, naming the file and the field, with no traceback."""
+    path = tmp_path / "loud.cfg"
+    path.write_text(line + "\n")
+    out = _run_cli("analyze", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert out.returncode == 1
+    assert f"error: {path}: {line.split()[0]}: linear power" in out.stderr
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_config_exit_code(tmp_path, capsys):
@@ -275,6 +301,11 @@ def test_calibrate_delta_uneven_draws_is_a_validation_failure(tmp_path):
     ["sweep", "--values", "100", "--estimators", "est9"],
     ["sweep", "--values", "100", "--estimators", "cellular"],
     ["estimators-bench", "--estimators", "est9"],
+    ["sweep", "--values", "100", "--trials", "0"],
+    ["sweep", "--values", "100", "--nearby-method", "psychic"],
+    ["sweep", "--values"],
+    ["sweep", "--values", "100", "--protocols"],
+    ["sweep", "--values", "100", "--estimators"],
 ])
 def test_parser_rejects_unread_or_invalid_flags(argv, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -327,6 +358,20 @@ SUBCOMMAND_RUNS = {
                           "estimators": ["est1"]},
                          BENCH_COLUMNS),
 }
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "train-lmax", "calibrate-delta",
+                                     "estimators-bench"])
+def test_negative_seed_is_a_usage_error(command, tmp_path, capsys):
+    """numpy's generators take no seed below 0, so the parser stops it: exit
+    2 with a message naming ``--seed``, and nothing written."""
+    argv, _, _ = SUBCOMMAND_RUNS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *argv, "--seed", "-1", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--seed" in err
+    assert not any(tmp_path.iterdir())
 
 
 def _reject_constant(token):
@@ -382,7 +427,6 @@ def test_tables_count_blocks_and_truncated_campaigns(tmp_path, monkeypatch):
         return results[-1]
 
     monkeypatch.setattr(contention, "MAX_CAMPAIGN_BLOCKS", 4)
-    monkeypatch.setattr(sweeps, "run_access_campaign", spy)
     monkeypatch.setattr(cli, "run_access_campaign", spy)
     path = tmp_path / "overloaded.cfg"
     path.write_text("num_inactive_ues = 1000\naccess_probability = 0.02\n")

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from cfra.cli import main
 from cfra.contention import CampaignResult
 from cfra.metrics import iqr, tcp, write_table
 from cfra.scenario import ScenarioConfig
-from cfra.sweeps import SweepDescriptor, bench_point, run_sweep
 from helpers import BENCH_COLUMNS, SWEEP_COLUMNS, read_reports
 
 
@@ -46,13 +46,13 @@ def test_csv_columns_fixed_contract(tmp_path):
                     "nmse_median", "nmse_iqr", "neb_median", "neb_iqr", "nmd_mean",
                     "trials", "seed"]
     assert SWEEP_COLUMNS == sweep_header and BENCH_COLUMNS == bench_header
-    cfg = ScenarioConfig(num_inactive_ues=200, access_probability=0.05)
-    sweep_rows = run_sweep(SweepDescriptor(values=(200,), trials=1, protocols=("bcf",)), cfg)
-    bench_rows = [bench_point(2, "est1", cfg, np.random.default_rng(0), trials=1, seed=0)]
-    for name, rows, header in (("sweep.csv", sweep_rows, sweep_header),
-                               ("bench.csv", bench_rows, bench_header)):
-        write_table(rows, tmp_path / name)
-        assert (tmp_path / name).read_text().splitlines()[0] == ",".join(header)
+    cfg = tmp_path / "busy.cfg"
+    cfg.write_text("num_inactive_ues = 200\naccess_probability = 0.05\n")
+    runs = (["sweep", "--values", "200", "--trials", "1", "--protocols", "bcf"],
+            ["estimators-bench", "--trials", "1", "--collision-sizes", "2", "--estimators", "est1"])
+    for argv, header in zip(runs, (sweep_header, bench_header)):
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"{argv[0]}.csv").read_text().splitlines()[0] == ",".join(header)
 
 
 def test_report_roundtrip_bit_exact(tmp_path):

@@ -42,6 +42,9 @@ def test_config_validation():
     ("num_aps", 10),
     ("power_constant_db", float("nan")),
     ("noise_power_dbm", float("nan")),
+    ("noise_power_dbm", 4000.0),
+    ("noise_power_dbm", -4000.0),
+    ("power_constant_db", 3090.0),
     ("pathloss_exponent", 0.0),
     ("pathloss_exponent", float("nan")),
     ("bs_antennas", 0),
