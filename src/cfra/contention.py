@@ -54,19 +54,30 @@ class AttemptOutcome:
     q_eff_mean: float               # mean effective DL power over serving entries
 
 
+def check_pairing(protocol: str, spec: EstimatorSpec) -> None:
+    """Reject an unknown ``protocol``, or a ``spec`` it cannot run.
+
+    ce-sucre runs the cellular estimator and cf-sucre any other; bcf makes
+    no decision, so its ``spec`` is only a label.
+    """
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol == "ce-sucre" and spec.kind != "cellular":
+        raise ValueError("ce-sucre runs the cellular estimator")
+    if protocol == "cf-sucre" and spec.kind == "cellular":
+        raise ValueError("the cellular estimator only applies to ce-sucre")
+
+
 def protocol_spec(protocol: str, kind: str, nearby_method: str) -> EstimatorSpec:
     """The estimator ``protocol`` runs when ``kind`` and ``nearby_method`` are asked for.
 
     ce-sucre always runs the cellular estimator, and only cf-sucre sizes its
-    nearby sets by ``nearby_method``; bcf makes no decision, so its ``kind``
-    is only a label. :func:`run_attempt` checks the same pairing.
+    nearby sets by ``nearby_method``; a spec that fails :func:`check_pairing` is rejected.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if protocol == "ce-sucre":
-        return EstimatorSpec(kind="cellular")
-    return EstimatorSpec(kind=kind,
-                         nearby_method=nearby_method if protocol == "cf-sucre" else "fixed")
+    spec = EstimatorSpec(kind="cellular") if protocol == "ce-sucre" else EstimatorSpec(
+        kind=kind, nearby_method=nearby_method if protocol == "cf-sucre" else "fixed")
+    check_pairing(protocol, spec)
+    return spec
 
 
 def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
@@ -78,13 +89,9 @@ def run_attempt(protocol: str, spec: EstimatorSpec, topology: Topology,
     its one M-antenna site lies in every UE's influence region, so
     separability admits a winner exactly when it repeats alone on its pilot.
     """
-    if protocol not in PROTOCOLS:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    if protocol == "ce-sucre":
-        if spec.kind != "cellular" or topology.config.num_aps != 1:
-            raise ValueError("ce-sucre runs the cellular estimator on a single-BS topology")
-    elif protocol == "cf-sucre" and spec.kind == "cellular":
-        raise ValueError("the cellular estimator only applies to ce-sucre")
+    check_pairing(protocol, spec)
+    if protocol == "ce-sucre" and topology.config.num_aps != 1:
+        raise ValueError("ce-sucre runs on a single-BS topology")
     config = topology.config
 
     active = np.asarray(active_ues, dtype=np.intp)
@@ -169,61 +176,57 @@ def run_access_campaign(protocol: str, spec: EstimatorSpec, config: ScenarioConf
     served: the ANAA is a cold-start reading, not a steady-state one. Only
     the cohort's attempts are returned, and the campaign ends when the
     cohort is resolved or after :data:`MAX_CAMPAIGN_BLOCKS` blocks.
+
+    The campaign's state is ``attempts`` and ``succeeded`` per activated UE
+    and the list of the blocks' :class:`AttemptOutcome`. The rest is derived
+    from them: a UE is pending while it is neither admitted nor out of
+    attempts, the idle count is |U| less the activated UEs, and the averages
+    are block-order sums over the outcomes.
     """
+    check_pairing(protocol, spec)
+
     def drop(num_ues: int) -> Topology:
         return (bs_topology(config, drop_ues(config, rng, num_ues)) if protocol == "ce-sucre"
                 else build_topology(config, rng, num_ues=num_ues))
 
+    def pending() -> np.ndarray:
+        return ~succeeded & (attempts < config.max_attempts)
+
     cohort = rng.binomial(config.num_inactive_ues, config.access_probability)
-    idle = config.num_inactive_ues - cohort
     topology = drop(cohort)
     attempts = np.zeros(cohort, dtype=int)
     succeeded = np.zeros(cohort, dtype=bool)
-    in_progress = np.ones(cohort, dtype=bool)   # active and neither admitted nor given up
-
-    tau_pl_sum = tau_sum = l_sum = 0.0
-    q_eff_sum = 0.0
-    q_eff_blocks = blocks = 0
-
+    outcomes = []
     for block in range(MAX_CAMPAIGN_BLOCKS):
-        if not in_progress[:cohort].any():   # an empty cohort is resolved at once
+        if not pending()[:cohort].any():   # an empty cohort is resolved at once
             break
-        new = rng.binomial(idle, config.access_probability) if block > 0 else 0
+        new = (rng.binomial(config.num_inactive_ues - attempts.size, config.access_probability)
+               if block > 0 else 0)
         if new:
-            idle -= new
             topology = topology.joined(drop(new))
             attempts = np.concatenate([attempts, np.zeros(new, dtype=int)])
             succeeded = np.concatenate([succeeded, np.zeros(new, dtype=bool)])
-            in_progress = np.concatenate([in_progress, np.ones(new, dtype=bool)])
 
-        candidates = np.flatnonzero(in_progress)
+        candidates = np.flatnonzero(pending())
         first_timers = attempts[candidates] == 0
         coin = rng.random(candidates.size) < config.reattempt_probability
         go = candidates[first_timers | coin]
         if go.size == 0:
             continue
-
         out = run_attempt(protocol, spec, topology, go, rng)
         attempts[go] += 1
         succeeded[out.admitted] = True
-        in_progress[out.admitted] = False
-        in_progress[go[attempts[go] >= config.max_attempts]] = False    # gave up
+        outcomes.append(out)
 
-        blocks += 1
-        tau_pl_sum += out.served_active_per_ap
-        tau_sum += out.active_pilots
-        l_sum += out.operative_ap_count
-        if np.isfinite(out.q_eff_mean):
-            q_eff_sum += out.q_eff_mean
-            q_eff_blocks += 1
-
+    blocks = len(outcomes)
+    q_eff = [out.q_eff_mean for out in outcomes if np.isfinite(out.q_eff_mean)]
     return CampaignResult(
         attempts=attempts[:cohort],
         succeeded=succeeded[:cohort],
         anaa=float(attempts[:cohort].mean()) if cohort else float("nan"),
-        tau_bar_pl=tau_pl_sum / blocks if blocks else 0.0,
-        tau_bar=tau_sum / blocks if blocks else 0.0,
-        l_bar=l_sum / blocks if blocks else 0.0,
-        q_eff_mw=q_eff_sum / q_eff_blocks if q_eff_blocks else float("nan"),
-        blocks=blocks, truncated=bool(in_progress[:cohort].any()),
+        tau_bar_pl=sum(out.served_active_per_ap for out in outcomes) / max(blocks, 1),
+        tau_bar=sum(out.active_pilots for out in outcomes) / max(blocks, 1),
+        l_bar=sum(out.operative_ap_count for out in outcomes) / max(blocks, 1),
+        q_eff_mw=sum(q_eff) / len(q_eff) if q_eff else float("nan"),
+        blocks=blocks, truncated=bool(pending()[:cohort].any()),
     )

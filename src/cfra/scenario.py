@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import Field, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
 
@@ -111,17 +111,12 @@ class ScenarioConfig:
 
 
 # the field annotations are strings (postponed evaluation), so map them by name
-_PARSERS = {"int": int, "float": float, "str": str}
-
-
-def parse_field(field: Field, text: str):
-    """``text`` parsed as the type annotated on the dataclass ``field``."""
-    return _PARSERS[field.type](text)
+_PARSERS = {"int": int, "float": float}
 
 
 def load_config(path) -> ScenarioConfig:
     """Read a flat ``key = value`` config file; each value takes its field's type."""
-    known = {f.name: f for f in fields(ScenarioConfig)}
+    known = {f.name: f.type for f in fields(ScenarioConfig)}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -136,7 +131,7 @@ def load_config(path) -> ScenarioConfig:
         if key in values:
             raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
         try:
-            values[key] = parse_field(known[key], val.strip())
+            values[key] = _PARSERS[known[key]](val.strip())
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     try:

@@ -184,6 +184,19 @@ def test_validation_failure_exit_code(tmp_path, capsys):
     assert f"error: {path}: num_pilots" in capsys.readouterr().err
 
 
+def test_unrunnable_pairing_is_a_validation_failure(tmp_path, capsys):
+    """cf-sucre cannot run the cellular estimator: exit 1 and no table, also
+    under a config whose cohorts are all empty, where no attempt runs."""
+    path = tmp_path / "silent.cfg"
+    path.write_text("access_probability = 0.0\n")
+    out = tmp_path / "out"
+    code = main(["simulate", "--config", str(path), "--out", str(out), "--trials", "2",
+                 "--protocol", "cf-sucre", "--estimator", "cellular"])
+    assert code == 1
+    assert "error: the cellular estimator only applies to ce-sucre" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["noise_power_dbm = 4000", "power_constant_db = 3090"])
 def test_overflowing_db_field_is_a_validation_failure(line, tmp_path):
     """A dB value whose linear power overflows a float fails validation like

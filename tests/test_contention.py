@@ -132,12 +132,15 @@ def test_run_attempt_validation():
 
 def test_protocol_spec_pairs_each_protocol_with_its_estimator():
     """ce-sucre always runs the cellular estimator, and only cf-sucre keeps
-    the nearby method; every spec it gives passes run_attempt's pairing check."""
+    the nearby method; every spec it gives passes run_attempt, and a pairing
+    no attempt could run is rejected."""
     assert protocol_spec("ce-sucre", "est2", "greedy") == EstimatorSpec(kind="cellular")
     assert protocol_spec("bcf", "est3", "greedy") == EstimatorSpec(kind="est3")
     assert protocol_spec("cf-sucre", "est3", "greedy") == EstimatorSpec("est3", "greedy")
     with pytest.raises(ValueError):
         protocol_spec("lte", "est2", "fixed")
+    with pytest.raises(ValueError, match="cellular"):
+        protocol_spec("cf-sucre", "cellular", "fixed")
     cfg = ScenarioConfig()
     rng = np.random.default_rng(0)
     topo = build_topology(cfg, rng, num_ues=3)
@@ -284,30 +287,51 @@ def test_campaign_seed_determinism():
 
 
 def test_campaign_empty_cohort_is_nan():
+    """An empty cohort gives a nan ANAA. A pairing no attempt could run is
+    rejected before the first draw, though no attempt would run."""
     cfg = ScenarioConfig(num_inactive_ues=50, access_probability=1e-12)
     res = run_access_campaign("bcf", EstimatorSpec(), cfg, np.random.default_rng(8))
     assert res.attempts.size == 0
     assert np.isnan(res.anaa)
+    untouched = np.random.default_rng(8).bit_generator.state
+    for protocol, kind in [("lte", "est2"), ("cf-sucre", "cellular"), ("ce-sucre", "est2")]:
+        rng = np.random.default_rng(8)
+        with pytest.raises(ValueError):
+            run_access_campaign(protocol, EstimatorSpec(kind=kind), cfg, rng)
+        assert rng.bit_generator.state == untouched, (protocol, kind)
 
 
 def test_campaign_counts_blocks_and_truncation(monkeypatch):
-    """``blocks`` counts the blocks that carried an attempt; a campaign cut at
-    the block cap with cohort UEs pending is ``truncated``."""
+    """``blocks`` counts the blocks that carried an attempt, and the averages
+    are block-order means of those attempts' outcomes, bit for bit; a
+    campaign cut at the block cap with cohort UEs pending is ``truncated``.
+    Checked on the four perfbench campaign specs (those of PINNED_CAMPAIGNS);
+    at seed 7, np.mean would differ from the block-order sum in the last bit."""
     cfg = ScenarioConfig(num_inactive_ues=2000, access_probability=0.05)
-    spec = EstimatorSpec(kind="est2", nearby_method="greedy")
-    calls = []
-
-    def spy(*args):
-        calls.append(args[3])
-        return run_attempt(*args)
-
-    monkeypatch.setattr(contention, "run_attempt", spy)
-    res = run_access_campaign("cf-sucre", spec, cfg, np.random.default_rng(16))
-    assert res.blocks == len(calls) > 1 and not res.truncated
+    outcomes = _record(monkeypatch, contention, "run_attempt", lambda _, out: out)
+    for protocol, spec, *_ in PINNED_CAMPAIGNS:
+        for seed in (16, 7):
+            outcomes.clear()
+            res = run_access_campaign(protocol, spec, cfg, np.random.default_rng(seed))
+            assert res.blocks == len(outcomes) > 1 and not res.truncated, protocol
+            sums = [0.0, 0.0, 0.0]
+            q_eff_sum, q_eff_blocks = 0.0, 0
+            for out in outcomes:
+                sums[0] += out.served_active_per_ap
+                sums[1] += out.active_pilots
+                sums[2] += out.operative_ap_count
+                if np.isfinite(out.q_eff_mean):
+                    q_eff_sum += out.q_eff_mean
+                    q_eff_blocks += 1
+            q_eff = q_eff_sum / q_eff_blocks if q_eff_blocks else float("nan")
+            assert np.array_equal([res.tau_bar_pl, res.tau_bar, res.l_bar, res.q_eff_mw],
+                                  [total / len(outcomes) for total in sums] + [q_eff],
+                                  equal_nan=True), (protocol, seed)
     monkeypatch.setattr(contention, "MAX_CAMPAIGN_BLOCKS", 1)
-    res = run_access_campaign("cf-sucre", spec, cfg, np.random.default_rng(16))
-    assert res.blocks == 1 and res.truncated
-    assert (~res.succeeded & (res.attempts < cfg.max_attempts)).any()
+    for protocol, spec, *_ in PINNED_CAMPAIGNS:
+        res = run_access_campaign(protocol, spec, cfg, np.random.default_rng(16))
+        assert res.blocks == 1 and res.truncated, protocol
+        assert (~res.succeeded & (res.attempts < cfg.max_attempts)).any(), protocol
 
 
 def _record(monkeypatch, module, name, pick):
